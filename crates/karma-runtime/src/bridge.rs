@@ -50,14 +50,18 @@
 //! ```
 
 use karma_core::bridge::{
-    assign_tiers, lower_to_runtime, BoundaryPolicy, LoweredPolicy, RuntimeLowerError, TierPolicy,
+    assign_tiers, lower_to_runtime, BoundaryPolicy, LoweredPolicy, RuntimeLowerError,
+    RuntimeSchedule, TierPolicy,
 };
+use karma_core::cost::BlockCosts;
+use karma_core::occupancy::OccupancyModel;
 use karma_core::plan::{OpKind, Plan};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::dp::ExchangeSchedule;
 use crate::exec::{BlockPolicy, ExecEvent, OocExecutor, ResidencySample};
+use crate::program::{Op, TransferProgram};
 use crate::store::TierSpec;
 
 /// Why a plan could not be bridged onto the executor.
@@ -196,7 +200,7 @@ pub fn lower_plan(
     n_layers: usize,
 ) -> Result<OocExecutor, BridgeError> {
     let sched = lower_to_runtime(plan)?;
-    build_executor(sched, plan, boundaries, budget, n_layers)
+    build_executor(&sched, plan, boundaries, budget, n_layers)
 }
 
 /// [`lower_plan`] with a far-memory tier stack: pack each swapped block's
@@ -220,28 +224,14 @@ pub fn lower_plan_tiered(
     if tiers.is_empty() {
         return Err(BridgeError::Lower(RuntimeLowerError::TierStackEmpty));
     }
-    let sched = lower_to_runtime(plan)?;
-    check_boundaries(plan, boundaries, n_layers)?;
-    if key_bytes.len() != n_layers + 1 {
-        return Err(BridgeError::KeyBytesLength {
-            expected: n_layers + 1,
-            got: key_bytes.len(),
-        });
-    }
-    let n = plan.n_blocks;
-    let interior_bytes: Vec<usize> = (0..n)
+    let (sched, exec) = lower_priced(plan, boundaries, budget, n_layers, key_bytes)?;
+    let program = TransferProgram::new(&exec);
+    let (interior_bytes, boundary_bytes): (Vec<usize>, Vec<usize>) = (0..plan.n_blocks)
         .map(|b| {
-            let s = boundaries[b];
-            let e = boundaries.get(b + 1).copied().unwrap_or(n_layers);
-            key_bytes[s + 1..e].iter().sum()
+            let (s, e) = program.range(b);
+            (key_bytes[s + 1..e].iter().sum::<usize>(), key_bytes[e])
         })
-        .collect();
-    let boundary_bytes: Vec<usize> = (0..n)
-        .map(|b| {
-            let e = boundaries.get(b + 1).copied().unwrap_or(n_layers);
-            key_bytes[e]
-        })
-        .collect();
+        .unzip();
     let caps: Vec<usize> = tiers.iter().map(|t| t.capacity).collect();
     let routed = assign_tiers(&sched, &caps, &interior_bytes, &boundary_bytes)?;
     let tier_of: Vec<usize> = routed
@@ -251,13 +241,55 @@ pub fn lower_plan_tiered(
             TierPolicy::Device => 0,
         })
         .collect();
-    let exec = build_executor(sched, plan, boundaries, budget, n_layers)?;
     Ok(exec.with_tiers(tiers.to_vec(), tier_of))
+}
+
+/// Lower `plan` onto an executor over `boundaries` and check that
+/// `key_bytes` sizes every near-memory key (the input and each layer's
+/// output): the shared front of every entry point that prices bytes, so
+/// each answers the same malformed input with the same typed error.
+fn lower_priced(
+    plan: &Plan,
+    boundaries: &[usize],
+    budget: usize,
+    n_layers: usize,
+    key_bytes: &[usize],
+) -> Result<(RuntimeSchedule, OocExecutor), BridgeError> {
+    let sched = lower_to_runtime(plan)?;
+    let exec = build_executor(&sched, plan, boundaries, budget, n_layers)?;
+    if key_bytes.len() != n_layers + 1 {
+        return Err(BridgeError::KeyBytesLength {
+            expected: n_layers + 1,
+            got: key_bytes.len(),
+        });
+    }
+    Ok((sched, exec))
+}
+
+/// Check a replay's tier routing: one in-range tier per block of a
+/// non-empty stack.
+fn check_routing(plan: &Plan, tier_of: &[usize], n_tiers: usize) -> Result<(), BridgeError> {
+    if n_tiers == 0 {
+        return Err(BridgeError::TierRouting("empty tier stack".into()));
+    }
+    if tier_of.len() != plan.n_blocks {
+        return Err(BridgeError::TierRouting(format!(
+            "need one tier per block: {} blocks, {} routes",
+            plan.n_blocks,
+            tier_of.len()
+        )));
+    }
+    if let Some(t) = tier_of.iter().find(|&&t| t >= n_tiers) {
+        return Err(BridgeError::TierRouting(format!(
+            "block routed to missing tier {t} of a {n_tiers}-tier stack"
+        )));
+    }
+    Ok(())
 }
 
 /// Turn an already-analysed schedule into the configured executor.
 fn build_executor(
-    sched: karma_core::bridge::RuntimeSchedule,
+    sched: &RuntimeSchedule,
     plan: &Plan,
     boundaries: &[usize],
     budget: usize,
@@ -280,11 +312,11 @@ fn build_executor(
         .collect();
     Ok(
         OocExecutor::new(boundaries.to_vec(), policy, budget, n_layers)
-            .with_schedule(sched.evict_after, sched.prefetch_before)
+            .with_schedule(sched.evict_after.clone(), sched.prefetch_before.clone())
             .with_boundary_schedule(
                 boundary_evict,
-                sched.boundary_evict_after,
-                sched.boundary_fetch_before,
+                sched.boundary_evict_after.clone(),
+                sched.boundary_fetch_before.clone(),
             ),
     )
 }
@@ -305,7 +337,7 @@ pub fn lower_dist_plan(
         Some(d) => ExchangeSchedule::new(d.group_blocks(), plan.n_blocks),
         None => ExchangeSchedule::per_block(plan.n_blocks),
     };
-    let exec = build_executor(sched, plan, boundaries, budget, n_layers)?;
+    let exec = build_executor(&sched, plan, boundaries, budget, n_layers)?;
     Ok((exec, xchg))
 }
 
@@ -430,6 +462,24 @@ impl ExchangeTiming {
     }
 }
 
+/// The Eq. 8 occupancy walk of `plan` over `costs`, with residency
+/// classes read off the plan's own ops: a block is recomputed if it has a
+/// Recompute op, swapped if it has a SwapOut; `resident_from` is the first
+/// block with neither (non-resident blocks sit below the residency
+/// boundary by construction).
+fn occupancy<'a>(plan: &Plan, costs: &'a BlockCosts) -> OccupancyModel<'a> {
+    let n = plan.n_blocks;
+    let recompute: Vec<bool> = (0..n)
+        .map(|b| plan.find(OpKind::Recompute, b).is_some())
+        .collect();
+    let resident_from = (0..n)
+        .filter(|&b| recompute[b] || plan.find(OpKind::SwapOut, b).is_some())
+        .map(|b| b + 1)
+        .max()
+        .unwrap_or(0);
+    OccupancyModel::new(costs, resident_from, recompute)
+}
+
 /// Model the wall-clock exchange timing of `plan` over the cost model
 /// that produced it: per-group ship instants from the Eq. 8 occupancy
 /// walk's backward finish times (`karma_core::occupancy::OccupancyModel`)
@@ -444,7 +494,7 @@ impl ExchangeTiming {
 /// exactly (the same code path computes both).
 pub fn expected_exchange_timing(
     plan: &Plan,
-    costs: &karma_core::cost::BlockCosts,
+    costs: &BlockCosts,
     grad_bytes: &[u64],
     alpha: f64,
     beta: f64,
@@ -456,20 +506,7 @@ pub fn expected_exchange_timing(
             boundary_blocks: costs.n_blocks(),
         });
     }
-    let n = plan.n_blocks;
-    // Residency classes, read off the plan's own ops: a block is
-    // recomputed if it has a Recompute op, swapped if it has a SwapOut;
-    // `resident_from` is the first block with neither (non-resident
-    // blocks sit below the residency boundary by construction).
-    let recompute: Vec<bool> = (0..n)
-        .map(|b| plan.find(OpKind::Recompute, b).is_some())
-        .collect();
-    let resident_from = (0..n)
-        .filter(|&b| recompute[b] || plan.find(OpKind::SwapOut, b).is_some())
-        .map(|b| b + 1)
-        .max()
-        .unwrap_or(0);
-    let model = karma_core::occupancy::OccupancyModel::new(costs, resident_from, recompute);
+    let model = occupancy(plan, costs);
     let finish = model.backward_finish_times();
     let backward = model.backward_time();
 
@@ -510,8 +547,8 @@ pub struct SwapTransfer {
     pub step: usize,
     /// The far tier the bytes move to/from (`tier_of[block]`).
     pub tier: usize,
-    /// The I/O lane the transfer runs on (`block % lanes`; 0 when the
-    /// engine is synchronous).
+    /// The I/O lane the transfer runs on (`block % lanes`; 0 when
+    /// transfers run inline).
     pub lane: usize,
     /// Payload bytes.
     pub bytes: u64,
@@ -526,8 +563,9 @@ pub struct SwapTransfer {
     /// boundary, per the engine's deadline rules), the end of the
     /// backward phase for swap-outs (drained when the step retires).
     pub due: f64,
-    /// Transfer time compute cannot hide: `max(0, ready - due)`. A
-    /// synchronous engine (0 lanes) pays the whole service time here.
+    /// Transfer time compute cannot hide: `max(0, ready - due)` on a lane.
+    /// An inline transfer (0 lanes) is waited at its issue point and pays
+    /// its whole service time here.
     pub stall: f64,
 }
 
@@ -538,7 +576,10 @@ pub struct SwapTransfer {
 pub struct SwapTiming {
     /// Every modeled transfer, in the engine's issue order.
     pub transfers: Vec<SwapTransfer>,
-    /// I/O lanes modeled (0 = synchronous inline transfers).
+    /// I/O lanes modeled. 0 models the inline backend: every transfer
+    /// runs on the compute thread and is waited where it is issued, so
+    /// `stall_s == busy_s` and `hidden_s == 0`; with lanes, a transfer
+    /// is waited at its deadline.
     pub lanes: usize,
     /// Total transfer service time (`Σ` per-transfer `α + β·passes·bytes
     /// + link`) — what [`crate::OocStats::swap_wait_s`] +
@@ -552,22 +593,22 @@ pub struct SwapTiming {
     pub hidden_s: f64,
 }
 
-/// Model the wall-clock swap timing of `plan` lowered onto a `lanes`-lane
-/// asynchronous engine: per-transfer issue instants from the plan's own
-/// schedule walked over the cost model's compute timeline (forward prefix
-/// sums, Eq. 8 [`karma_core::occupancy::OccupancyModel`] backward finish
-/// times), ready instants from an α–β-per-lane transfer model (`alpha`
-/// seconds latency per transfer, `beta` seconds per byte *per copy pass*,
-/// plus each tier's [`TierSpec::link_ns_per_kib`] occupancy), and due
-/// instants from the engine's deadline rules — interiors by their block's
-/// backward, a riding boundary one step earlier, split boundary returns
-/// by their consumer's backward. `lanes = 0` models the synchronous
-/// engine: every transfer is fully exposed (`stall = busy`), which is
-/// exactly what [`crate::OocStats::swap_wait_s`] measures there.
+/// Model the wall-clock swap timing of `plan` lowered onto a swap engine
+/// with `lanes` I/O lanes: a fold over the same transfer program the
+/// executor interprets. Issue instants come from each transfer's step on
+/// the cost model's compute timeline (forward prefix sums, Eq. 8
+/// [`karma_core::occupancy::OccupancyModel`] backward finish times),
+/// ready instants from an α–β-per-lane transfer model (`alpha` seconds
+/// latency per transfer, `beta` seconds per byte *per copy pass*, plus
+/// each tier's [`TierSpec::link_ns_per_kib`] occupancy), and due instants
+/// from the program's deadlines — interiors by their block's backward, a
+/// boundary one step earlier. `lanes = 0` models inline transfers: every
+/// one is fully exposed (`stall = busy`), which is exactly what
+/// [`crate::OocStats::swap_wait_s`] measures there.
 #[allow(clippy::too_many_arguments)]
 pub fn expected_swap_timing(
     plan: &Plan,
-    costs: &karma_core::cost::BlockCosts,
+    costs: &BlockCosts,
     boundaries: &[usize],
     key_bytes: &[usize],
     n_layers: usize,
@@ -580,108 +621,68 @@ pub fn expected_swap_timing(
     if tiers.is_empty() {
         return Err(BridgeError::Lower(RuntimeLowerError::TierStackEmpty));
     }
-    if tier_of.len() != plan.n_blocks {
-        return Err(BridgeError::TierRouting(format!(
-            "need one tier per block: {} blocks, {} routes",
-            plan.n_blocks,
-            tier_of.len()
-        )));
-    }
-    if let Some(t) = tier_of.iter().find(|&&t| t >= tiers.len()) {
-        return Err(BridgeError::TierRouting(format!(
-            "block routed to missing tier {t} of a {}-tier stack",
-            tiers.len()
-        )));
-    }
+    check_routing(plan, tier_of, tiers.len())?;
     if costs.n_blocks() != plan.n_blocks {
         return Err(BridgeError::BlockCountMismatch {
             plan_blocks: plan.n_blocks,
             boundary_blocks: costs.n_blocks(),
         });
     }
-    let sched = lower_to_runtime(plan)?;
-    check_boundaries(plan, boundaries, n_layers)?;
-    if key_bytes.len() != n_layers + 1 {
-        return Err(BridgeError::KeyBytesLength {
-            expected: n_layers + 1,
-            got: key_bytes.len(),
-        });
-    }
+    // The executor is never run: only its transfer program is read.
+    let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
+    let program = TransferProgram::new(&exec);
     let n = plan.n_blocks;
-    let range = |b: usize| -> (usize, usize) {
-        let start = boundaries[b];
-        let end = boundaries.get(b + 1).copied().unwrap_or(n_layers);
-        (start, end)
-    };
-    let interior = |b: usize| -> usize {
-        let (s, e) = range(b);
-        key_bytes[s + 1..e].iter().sum()
-    };
-    let boundary_bytes = |b: usize| -> usize {
-        let (_, e) = range(b);
-        key_bytes[e]
-    };
 
     // Compute timeline. Forward step b retires at the forward prefix sum;
     // backward step b starts when step b+1 finishes under the Eq. 8
     // occupancy walk (the turnaround starts the backward clock at the end
     // of the forward phase).
-    let recompute: Vec<bool> = (0..n)
-        .map(|b| plan.find(OpKind::Recompute, b).is_some())
+    let finish = occupancy(plan, costs).backward_finish_times();
+    let fwd_finish: Vec<f64> = costs
+        .forward
+        .iter()
+        .scan(0.0, |acc, f| {
+            *acc += f;
+            Some(*acc)
+        })
         .collect();
-    let resident_from = (0..n)
-        .filter(|&b| recompute[b] || plan.find(OpKind::SwapOut, b).is_some())
-        .map(|b| b + 1)
-        .max()
-        .unwrap_or(0);
-    let model = karma_core::occupancy::OccupancyModel::new(costs, resident_from, recompute);
-    let finish = model.backward_finish_times();
-    let fwd_total: f64 = costs.forward.iter().sum();
-    let mut fwd_finish = Vec::with_capacity(n);
-    let mut acc = 0.0;
-    for b in 0..n {
-        acc += costs.forward[b];
-        fwd_finish.push(acc);
-    }
+    let fwd_total = fwd_finish.last().copied().unwrap_or(0.0);
     // Backward step s starts at finish[s + 1] (step n-1 at the turnaround).
     let bwd_start = |s: usize| -> f64 { fwd_total + if s + 1 < n { finish[s + 1] } else { 0.0 } };
     let bwd_end = fwd_total + finish.first().copied().unwrap_or(0.0);
 
-    let busy_of = |tier: usize, bytes: usize| -> f64 {
-        alpha
-            + beta * (bytes * tiers[tier].copy_passes) as f64
-            + tiers[tier].link_time(bytes).as_secs_f64()
-    };
     let mut lane_free = vec![0.0f64; lanes.max(1)];
     let mut transfers: Vec<SwapTransfer> = Vec::new();
-    let push = |transfers: &mut Vec<SwapTransfer>,
-                lane_free: &mut Vec<f64>,
-                event: ExecEvent,
-                block: usize,
-                step: usize,
-                bytes: usize,
-                issue: f64,
-                due: f64| {
-        let tier = tier_of[block];
-        let busy = busy_of(tier, bytes);
-        let lane = if lanes == 0 { 0 } else { block % lanes };
-        let ready = if lanes == 0 {
-            // Synchronous: the compute thread runs the copy inline.
-            issue + busy
-        } else {
-            let start = lane_free[lane].max(issue);
-            lane_free[lane] = start + busy;
-            lane_free[lane]
+    let (mut busy_s, mut hidden_s) = (0.0, 0.0);
+    for op in &program.ops {
+        let (t, issue) = match op {
+            Op::Out(t) => (t, fwd_finish[t.step]),
+            Op::In(t) => (t, bwd_start(t.step)),
+            _ => continue,
         };
-        let stall = if lanes == 0 {
-            busy
+        // Swap-outs are due when the step retires (the engine drains
+        // them at the end); fetches by their deadline step's compute.
+        let due = t.deadline.map_or(bwd_end, bwd_start);
+        let tier = tier_of[t.block];
+        let bytes: usize = key_bytes[t.keys.clone()].iter().sum();
+        let busy = alpha
+            + beta * (bytes * tiers[tier].copy_passes) as f64
+            + tiers[tier].link_time(bytes).as_secs_f64();
+        // An inline transfer is waited at its issue point, a lane
+        // transfer at its deadline.
+        let (lane, ready, stall) = if lanes == 0 {
+            (0, issue + busy, busy)
         } else {
-            (ready - due).max(0.0)
+            let lane = t.block % lanes;
+            lane_free[lane] = lane_free[lane].max(issue) + busy;
+            (lane, lane_free[lane], (lane_free[lane] - due).max(0.0))
         };
+        busy_s += busy;
+        hidden_s += (busy - stall).max(0.0);
         transfers.push(SwapTransfer {
-            event,
-            block,
-            step,
+            event: t.event,
+            block: t.block,
+            step: t.step,
             tier,
             lane,
             bytes: bytes as u64,
@@ -690,89 +691,8 @@ pub fn expected_swap_timing(
             due,
             stall,
         });
-    };
-
-    // Forward sweep: deferred boundary tails, then eviction groups — due
-    // when the step retires (the engine drains out-jobs at the end).
-    for (b, &issue) in fwd_finish.iter().enumerate().take(n) {
-        for &e in &sched.boundary_evict_after[b] {
-            if sched.evict_after[b].contains(&e) {
-                continue; // rides this step's swap-out below
-            }
-            push(
-                &mut transfers,
-                &mut lane_free,
-                ExecEvent::BoundaryOut,
-                e,
-                b,
-                boundary_bytes(e),
-                issue,
-                bwd_end,
-            );
-        }
-        for &e in &sched.evict_after[b] {
-            let mut bytes = interior(e);
-            if sched.boundary_evict_after[b].contains(&e) {
-                bytes += boundary_bytes(e);
-            }
-            push(
-                &mut transfers,
-                &mut lane_free,
-                ExecEvent::SwapOut,
-                e,
-                b,
-                bytes,
-                issue,
-                bwd_end,
-            );
-        }
     }
-    // Backward sweep: split boundary returns, then prefetch groups.
-    for b in (0..n).rev() {
-        let issue = bwd_start(b);
-        for &p in &sched.boundary_fetch_before[b] {
-            if sched.prefetch_before[b].contains(&p) {
-                continue; // rides this step's swap-in below
-            }
-            push(
-                &mut transfers,
-                &mut lane_free,
-                ExecEvent::BoundaryIn,
-                p,
-                b,
-                boundary_bytes(p),
-                issue,
-                bwd_start(p + 1),
-            );
-        }
-        for &p in &sched.prefetch_before[b] {
-            let mut bytes = interior(p);
-            let mut deadline = p;
-            if sched.boundary_fetch_before[b].contains(&p) {
-                bytes += boundary_bytes(p);
-                deadline = p + 1;
-            }
-            push(
-                &mut transfers,
-                &mut lane_free,
-                ExecEvent::SwapIn,
-                p,
-                b,
-                bytes,
-                issue,
-                bwd_start(deadline.min(n - 1)),
-            );
-        }
-    }
-    let busy_s: f64 = transfers
-        .iter()
-        .map(|t| busy_of(t.tier, t.bytes as usize))
-        .sum();
     let stall_s: f64 = transfers.iter().map(|t| t.stall).sum();
-    let hidden_s: f64 = transfers
-        .iter()
-        .map(|t| (busy_of(t.tier, t.bytes as usize) - t.stall).max(0.0))
-        .sum();
     Ok(SwapTiming {
         transfers,
         lanes,
@@ -846,20 +766,19 @@ pub fn expected_residency(
     )
 }
 
-/// How the residency replay accounts a transfer that is conceptually in
-/// transit between near memory and its far tier.
+/// Where the residency replay discharges a fetch's far tier — the swap
+/// engine's one backend-dependent rule. Near memory is charged at issue
+/// under both, so `near_bytes` never depends on the mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SwapAccounting {
-    /// Transfers complete inline at their issue point — the trajectory of
-    /// [`OocExecutor::grad_step`] without I/O lanes: a swap-in's bytes
-    /// leave the far tier on the same sample that lands them near.
+    /// At the fetch's issue point, where an inline transfer is waited —
+    /// the trajectory of an [`OocExecutor`] without I/O lanes: a
+    /// swap-in's bytes leave the far tier on the same sample that lands
+    /// them near.
     Synchronous,
-    /// Transfers issue at their schedule points and keep their bytes
-    /// charged to the *source* tier until the deadline wait discharges
-    /// them — the trajectory of an [`OocExecutor::with_io_lanes`]
-    /// executor: a fetch reserves near memory at issue (so `near_bytes`
-    /// matches [`SwapAccounting::Synchronous`] sample-for-sample) while
-    /// `far_bytes` stays charged until the waiter would have blocked.
+    /// At the fetch's deadline, where a lane transfer is waited — the
+    /// trajectory of an [`OocExecutor::with_io_lanes`] executor: the
+    /// bytes stay charged to the *source* tier while in flight.
     InFlight,
 }
 
@@ -869,9 +788,8 @@ pub enum SwapAccounting {
 /// Every sample's `far_bytes` carries the whole per-tier trajectory, and
 /// the replay's `peak_tier_bytes` predicts [`crate::OocStats`]'s
 /// sample-for-sample. [`expected_residency`] is this with a single
-/// unbounded tier, and [`expected_residency_tiered_as`] is this with the
-/// asynchronous engine's in-flight accounting instead of the synchronous
-/// default.
+/// unbounded tier, and [`expected_residency_tiered_as`] is this under an
+/// explicit [`SwapAccounting`] (the default models inline transfers).
 pub fn expected_residency_tiered(
     plan: &Plan,
     boundaries: &[usize],
@@ -892,15 +810,15 @@ pub fn expected_residency_tiered(
 }
 
 /// [`expected_residency_tiered`] under an explicit [`SwapAccounting`]
-/// mode. [`SwapAccounting::InFlight`] predicts the asynchronous engine's
-/// executed trace sample-for-sample: `near_bytes` is byte-identical to
-/// the synchronous replay (fetches reserve at issue), while a fetched
-/// tier's `far_bytes` stays charged from the fetch's issue sample until
-/// the deadline step's compute samples, exactly as
-/// [`OocExecutor::grad_step`] with I/O lanes discharges it at the
-/// deadline wait. Per-tier peaks are attained during the forward sweep —
-/// where both modes charge identically — so `peak_tier_bytes` agrees
-/// between the modes by construction.
+/// mode: a fold of bytes over the same transfer program the executor
+/// interprets. [`SwapAccounting::InFlight`] predicts a lane executor's
+/// trace sample-for-sample: `near_bytes` is byte-identical to the inline
+/// replay (fetches reserve at issue), while a fetched tier's `far_bytes`
+/// stays charged from the fetch's issue sample until the deadline step's
+/// compute samples, exactly as [`OocExecutor::grad_step`] with I/O lanes
+/// discharges it at the deadline wait. Per-tier peaks are attained during
+/// the forward sweep — where both modes charge identically — so
+/// `peak_tier_bytes` agrees between the modes by construction.
 pub fn expected_residency_tiered_as(
     plan: &Plan,
     boundaries: &[usize],
@@ -910,165 +828,89 @@ pub fn expected_residency_tiered_as(
     n_tiers: usize,
     accounting: SwapAccounting,
 ) -> Result<ResidencyReplay, BridgeError> {
-    if n_tiers == 0 {
-        return Err(BridgeError::TierRouting("empty tier stack".into()));
-    }
-    if tier_of.len() != plan.n_blocks {
-        return Err(BridgeError::TierRouting(format!(
-            "need one tier per block: {} blocks, {} routes",
-            plan.n_blocks,
-            tier_of.len()
-        )));
-    }
-    if let Some(t) = tier_of.iter().find(|&&t| t >= n_tiers) {
-        return Err(BridgeError::TierRouting(format!(
-            "block routed to missing tier {t} of a {n_tiers}-tier stack"
-        )));
-    }
-    let sched = lower_to_runtime(plan)?;
-    if key_bytes.len() != n_layers + 1 {
-        return Err(BridgeError::KeyBytesLength {
-            expected: n_layers + 1,
-            got: key_bytes.len(),
-        });
-    }
-    check_boundaries(plan, boundaries, n_layers)?;
-    let range = |b: usize| -> (usize, usize) {
-        let start = boundaries[b];
-        let end = boundaries.get(b + 1).copied().unwrap_or(n_layers);
-        (start, end)
-    };
-    // Interior keys of block b (evicted / fetched / recomputed): the
-    // block's layer outputs minus its own top boundary, which moves on
-    // its own schedule (or stays, for resident-boundary blocks).
-    let interior = |b: usize| -> usize {
-        let (s, e) = range(b);
-        key_bytes[s + 1..e].iter().sum()
-    };
-    let full = |b: usize| -> usize {
-        let (s, e) = range(b);
-        key_bytes[s + 1..=e].iter().sum()
-    };
-    let boundary_bytes = |b: usize| -> usize {
-        let (_, e) = range(b);
-        key_bytes[e]
-    };
-    let n = plan.n_blocks;
+    check_routing(plan, tier_of, n_tiers)?;
+    // The executor is never run: only its transfer program is read.
+    let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
+    let program = TransferProgram::new(&exec);
+    let bytes = |keys: std::ops::Range<usize>| -> usize { key_bytes[keys].iter().sum() };
     let mut cur = key_bytes[0]; // the input batch
     let mut peak = cur;
     let mut far = vec![0usize; n_tiers];
     let mut peak_tier = vec![0usize; n_tiers];
-    let mut samples = Vec::with_capacity(plan.ops.len());
-    let push = |samples: &mut Vec<ResidencySample>,
-                event: ExecEvent,
-                block: usize,
-                cur: usize,
-                far: &[usize]| {
-        samples.push(ResidencySample {
-            event,
-            block,
-            near_bytes: cur,
-            far_bytes: far.to_vec(),
-        });
-    };
-
-    // ---- forward sweep, mirroring `OocExecutor::grad_step` ----
-    for b in 0..n {
-        cur += full(b);
-        peak = peak.max(cur);
-        if sched.policies[b] == LoweredPolicy::Recompute {
-            cur -= interior(b);
-        }
-        push(&mut samples, ExecEvent::Forward, b, cur, &far);
-        // Deferred boundary tails drain right after this forward: blocks
-        // whose interior eviction ran at an earlier step could not take
-        // their boundary along (this step's forward had not read it yet).
-        for &e in &sched.boundary_evict_after[b] {
-            if sched.evict_after[b].contains(&e) {
-                continue; // rides this step's swap-out below
+    // Issued fetches not yet waited: (tier, bytes, deadline step).
+    let mut in_flight: Vec<(usize, usize, Option<usize>)> = Vec::new();
+    let mut samples = Vec::with_capacity(program.ops.len());
+    for op in &program.ops {
+        let event = match op {
+            Op::Forward(b) => {
+                // A recompute block's interiors exist only inside its
+                // forward: the peak sees them, the sample does not.
+                let (s, e) = program.range(*b);
+                cur += bytes(s + 1..e + 1);
+                peak = peak.max(cur);
+                if program.recomputes(*b) {
+                    cur -= bytes(s + 1..e);
+                }
+                Some((ExecEvent::Forward, *b))
             }
-            cur -= boundary_bytes(e);
-            far[tier_of[e]] += boundary_bytes(e);
-            peak_tier[tier_of[e]] = peak_tier[tier_of[e]].max(far[tier_of[e]]);
-            push(&mut samples, ExecEvent::BoundaryOut, e, cur, &far);
-        }
-        for &e in &sched.evict_after[b] {
-            let mut moved = interior(e);
-            // The boundary rides when the eviction is scheduled at or
-            // after the consumer's forward.
-            if sched.boundary_evict_after[b].contains(&e) {
-                moved += boundary_bytes(e);
+            Op::Out(t) => {
+                let (tier, moved) = (tier_of[t.block], bytes(t.keys.clone()));
+                cur -= moved;
+                far[tier] += moved;
+                peak_tier[tier] = peak_tier[tier].max(far[tier]);
+                Some((t.event, t.block))
             }
-            cur -= moved;
-            far[tier_of[e]] += moved;
-            peak_tier[tier_of[e]] = peak_tier[tier_of[e]].max(far[tier_of[e]]);
-            push(&mut samples, ExecEvent::SwapOut, e, cur, &far);
+            // The executor releases the logits before the backward.
+            Op::Loss => {
+                cur -= key_bytes[n_layers];
+                None
+            }
+            Op::In(t) => {
+                let (tier, moved) = (tier_of[t.block], bytes(t.keys.clone()));
+                cur += moved;
+                peak = peak.max(cur);
+                match accounting {
+                    SwapAccounting::Synchronous => far[tier] -= moved,
+                    SwapAccounting::InFlight => in_flight.push((tier, moved, t.deadline)),
+                }
+                Some((t.event, t.block))
+            }
+            // The deadline wait discharges the source tier before the
+            // step's compute samples (no sample of its own: the engine
+            // blocks, it does not move near-memory bytes).
+            Op::Await(b) => {
+                in_flight.retain(|&(tier, moved, deadline)| {
+                    let due = deadline.is_some_and(|d| d >= *b);
+                    if due {
+                        far[tier] -= moved;
+                    }
+                    !due
+                });
+                None
+            }
+            Op::Recompute(b) => {
+                let (s, e) = program.range(*b);
+                cur += bytes(s + 1..e);
+                peak = peak.max(cur);
+                Some((ExecEvent::Recompute, *b))
+            }
+            // Backward releases the interior plus the block's input
+            // boundary (its top boundary went with the block above).
+            Op::Backward(b) => {
+                let (s, e) = program.range(*b);
+                cur -= bytes(s..e);
+                Some((ExecEvent::Backward, *b))
+            }
+        };
+        if let Some((event, block)) = event {
+            samples.push(ResidencySample {
+                event,
+                block,
+                near_bytes: cur,
+                far_bytes: far.clone(),
+            });
         }
     }
-
-    // ---- loss: the executor releases the logits before the backward ----
-    cur -= key_bytes[n_layers];
-
-    // ---- backward sweep ----
-    // In-flight fetches: (tier, bytes, deadline step). Synchronous
-    // accounting discharges the source tier at issue instead.
-    let mut in_flight: Vec<(usize, usize, usize)> = Vec::new();
-    for b in (0..n).rev() {
-        // Split boundary returns first: they are this step's hardest
-        // deadline (the step's compute restarts from them).
-        for &p in &sched.boundary_fetch_before[b] {
-            if sched.prefetch_before[b].contains(&p) {
-                continue; // rides this step's swap-in below
-            }
-            let bytes = boundary_bytes(p);
-            cur += bytes;
-            peak = peak.max(cur);
-            match accounting {
-                SwapAccounting::Synchronous => far[tier_of[p]] -= bytes,
-                SwapAccounting::InFlight => in_flight.push((tier_of[p], bytes, p + 1)),
-            }
-            push(&mut samples, ExecEvent::BoundaryIn, p, cur, &far);
-        }
-        for &p in &sched.prefetch_before[b] {
-            let mut bytes = interior(p);
-            // Interiors are consumed by step p's compute; a riding
-            // boundary by step p+1's, which then bounds the whole group.
-            let mut deadline = p;
-            if sched.boundary_fetch_before[b].contains(&p) {
-                bytes += boundary_bytes(p);
-                deadline = p + 1;
-            }
-            cur += bytes;
-            peak = peak.max(cur);
-            match accounting {
-                SwapAccounting::Synchronous => far[tier_of[p]] -= bytes,
-                SwapAccounting::InFlight => in_flight.push((tier_of[p], bytes, deadline)),
-            }
-            push(&mut samples, ExecEvent::SwapIn, p, cur, &far);
-        }
-        // The deadline wait: everything due at this step discharges its
-        // source tier before the step's compute samples (no sample of its
-        // own — the engine blocks, it does not move near-memory bytes).
-        in_flight.retain(|&(tier, bytes, deadline)| {
-            if deadline >= b {
-                far[tier] -= bytes;
-                false
-            } else {
-                true
-            }
-        });
-        if sched.policies[b] == LoweredPolicy::Recompute {
-            cur += interior(b);
-            peak = peak.max(cur);
-            push(&mut samples, ExecEvent::Recompute, b, cur, &far);
-        }
-        // Backward releases the interior plus the block's input boundary
-        // (its top boundary was already released by the block above).
-        let (s, _) = range(b);
-        cur -= interior(b) + key_bytes[s];
-        push(&mut samples, ExecEvent::Backward, b, cur, &far);
-    }
-    debug_assert!(in_flight.is_empty(), "a fetch outlived every deadline");
     Ok(ResidencyReplay {
         samples,
         peak_bytes: peak,

@@ -283,7 +283,7 @@ enum LowerPath {
 pub struct ElasticDriver {
     path: LowerPath,
     /// I/O lanes every lowered executor runs its transfers on (0 =
-    /// synchronous inline transfers). Applied on every lowering — hot
+    /// inline transfers on the compute thread). Applied on every lowering — hot
     /// swaps to a new pool size arm a fresh lane pool, churns back to a
     /// memoized size reuse that size's pool (step re-arm and poisoning
     /// semantics are the pool's, exactly as on the fixed path).
@@ -451,9 +451,9 @@ impl ElasticDriver {
         }
     }
 
-    /// Run every lowered executor's transfers on `lanes` asynchronous
-    /// I/O lanes ([`OocExecutor::with_io_lanes`]); 0 keeps transfers
-    /// synchronous. Results are bitwise-unchanged either way — workers
+    /// Run every lowered executor's transfers on `lanes` I/O lanes
+    /// ([`OocExecutor::with_io_lanes`]); 0 keeps them inline on the
+    /// compute thread. Results are bitwise-unchanged either way — workers
     /// within a pool share the lowered executor's lane pool (each step
     /// publishes through its own slot store), and the pool is re-armed
     /// per step and poisoned by a mid-transfer panic exactly like

@@ -4,10 +4,10 @@ use karma_tensor::layers::ParamGrads;
 use karma_tensor::{Gradients, Sequential, Tensor};
 use rayon::io::{IoHandle, IoLanePool};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::program::{Op, TransferProgram};
 use crate::store::{priced_transfer, NearMemory, SlotStore, TierSpec, TierStack};
 
 /// Per-block activation policy (the executable analogue of the planner's
@@ -28,7 +28,7 @@ pub enum BlockPolicy {
 ///
 /// Equality (`PartialEq`) compares the *deterministic* fields only: the
 /// wall-clock [`OocStats::swap_wait_s`] / [`OocStats::swap_hidden_s`]
-/// timings vary run to run and are excluded, so sync-vs-async parity
+/// timings vary run to run and are excluded, so inline-vs-lanes parity
 /// assertions (`assert_eq!(stats_a, stats_b)`) pin bytes, op counts and
 /// peaks without pinning the clock.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -68,13 +68,14 @@ pub struct OocStats {
     /// [`OocStats::peak_far_bytes`].
     pub peak_tier_bytes: Vec<usize>,
     /// Wall-clock seconds the compute thread spent *blocked* on
-    /// transfers: the full inline copy price on the synchronous engine;
-    /// only the genuinely-missed remainder at each wait point on the
-    /// asynchronous one. Excluded from equality.
+    /// transfers at their wait points: an inline transfer (no I/O lanes)
+    /// is waited where it is issued, so its whole copy price lands here;
+    /// a lane transfer is waited at its deadline, so only the remainder
+    /// still running then does. Excluded from equality.
     pub swap_wait_s: f64,
     /// Wall-clock seconds of transfer work that ran *hidden* under
-    /// compute on dedicated I/O lanes (always 0.0 on the synchronous
-    /// engine). Excluded from equality.
+    /// compute on I/O lanes — exactly 0.0 without lanes, where every
+    /// transfer runs on the compute thread. Excluded from equality.
     pub swap_hidden_s: f64,
 }
 
@@ -138,21 +139,66 @@ pub struct ResidencySample {
     pub far_bytes: Vec<usize>,
 }
 
-/// One issued-but-not-yet-waited fetch group on an I/O lane.
-struct InFlightFetch {
-    handle: IoHandle<(Vec<(usize, Tensor)>, Duration)>,
-    tier: usize,
-    /// Backward step whose compute needs the group. Steps are processed
-    /// n-1 → 0, so the group is waited at the first step `s` with
-    /// `deadline >= s`.
-    deadline: usize,
+/// A submitted transfer job and its busy time: run inline on the compute
+/// thread at submit (no I/O lanes), or queued on an I/O lane.
+enum Job {
+    Inline(Vec<(usize, Tensor)>, Duration),
+    Lane(IoHandle<(Vec<(usize, Tensor)>, Duration)>),
 }
 
-/// Book one deadline wait: `blocked` is what the compute thread lost,
-/// the rest of the lane's `busy` time ran hidden under compute.
-fn account_wait(stats: &mut OocStats, blocked: Duration, busy: Duration) {
-    stats.swap_wait_s += blocked.as_secs_f64();
-    stats.swap_hidden_s += (busy.as_secs_f64() - blocked.as_secs_f64()).max(0.0);
+impl Job {
+    /// Run `work` on `pool`'s lane `lane`, or inline right now without a
+    /// pool. `work` returns the tensors a fetch brings back (none for a
+    /// swap-out).
+    fn submit(
+        pool: Option<&IoLanePool>,
+        lane: usize,
+        work: impl FnOnce() -> Vec<(usize, Tensor)> + Send + 'static,
+    ) -> Self {
+        let timed = move || {
+            let t0 = Instant::now();
+            let group = work();
+            (group, t0.elapsed())
+        };
+        match pool {
+            Some(pool) => Job::Lane(pool.submit(lane, timed)),
+            None => {
+                let (group, busy) = timed();
+                Job::Inline(group, busy)
+            }
+        }
+    }
+}
+
+/// One issued transfer that has not been waited yet.
+struct Flight {
+    job: Job,
+    tier: usize,
+    /// The transfer's deadline step (`None`: due when the step retires).
+    deadline: Option<usize>,
+}
+
+impl Flight {
+    /// Wait for the transfer, book the time the compute thread was
+    /// blocked (an inline job blocked it for its whole run; a lane job
+    /// only for what was still left) and the busy time hidden under
+    /// compute, then discharge the far tier and deposit fetched tensors.
+    fn land(self, near: &mut NearMemory, far: &mut TierStack, stats: &mut OocStats) {
+        let (group, blocked, busy) = match self.job {
+            Job::Inline(group, busy) => (group, busy, busy),
+            Job::Lane(handle) => {
+                let t0 = Instant::now();
+                let (group, busy) = handle.wait();
+                (group, t0.elapsed(), busy)
+            }
+        };
+        stats.swap_wait_s += blocked.as_secs_f64();
+        stats.swap_hidden_s += (busy.as_secs_f64() - blocked.as_secs_f64()).max(0.0);
+        for (key, t) in group {
+            far.discharge(self.tier, key);
+            near.fulfill(key, t);
+        }
+    }
 }
 
 /// Runs real training steps with per-block out-of-core policies.
@@ -197,8 +243,8 @@ pub struct OocExecutor {
     /// `tier_of[b]` — the tier block `b`'s swap traffic (interiors and,
     /// when evicted, its boundary) routes through.
     tier_of: Vec<usize>,
-    /// The asynchronous swap engine's I/O lane pool (`None` = transfers
-    /// priced inline on the compute thread). Clones share the pool, so a
+    /// The swap engine's I/O lane pool (`None` = transfers run inline on
+    /// the compute thread). Clones share the pool, so a
     /// data-parallel worker fleet rides one set of lanes.
     io_pool: Option<Arc<IoLanePool>>,
 }
@@ -251,29 +297,27 @@ impl OocExecutor {
         }
     }
 
-    /// Switch on the asynchronous swap engine: transfers are submitted to
-    /// a pool of `lanes` dedicated FIFO I/O lanes at their scheduled
-    /// issue points and *waited* at their deadlines, so the copy passes
-    /// and link time overlap compute instead of blocking it. Lane count
-    /// never changes the arithmetic (weights and the near-memory
-    /// trajectory stay bitwise-identical to the synchronous engine);
-    /// only the wall clock and the far-tier discharge points move. A
-    /// mid-transfer panic poisons the lane and the pool refuses further
-    /// steps, like `ExchangeBuffers`.
-    ///
-    /// # Panics
-    /// If `lanes` is zero.
+    /// Choose the swap engine's backend: a pool of `lanes` dedicated FIFO
+    /// I/O lanes, or inline transfers on the compute thread for
+    /// `lanes = 0` (the default). Every transfer is issued at its
+    /// scheduled point either way; an inline one is waited right there,
+    /// a lane one only at its deadline, so its copy passes and link time
+    /// overlap compute instead of blocking it. The backend never changes
+    /// the arithmetic or the near-memory trajectory; only the wall clock
+    /// and the far-tier discharge points move. A mid-transfer panic
+    /// poisons the lane and the pool refuses further steps, like
+    /// `ExchangeBuffers`.
     pub fn with_io_lanes(mut self, lanes: usize) -> Self {
-        self.io_pool = Some(Arc::new(IoLanePool::new(lanes)));
+        self.io_pool = (lanes > 0).then(|| Arc::new(IoLanePool::new(lanes)));
         self
     }
 
-    /// Number of I/O lanes (0 = synchronous engine).
+    /// Number of I/O lanes (0 = transfers run inline).
     pub fn io_lanes(&self) -> usize {
         self.io_pool.as_ref().map_or(0, |p| p.lanes())
     }
 
-    /// The shared I/O lane pool, when the asynchronous engine is on.
+    /// The shared I/O lane pool, when the engine has lanes.
     pub fn io_pool(&self) -> Option<&Arc<IoLanePool>> {
         self.io_pool.as_ref()
     }
@@ -472,7 +516,7 @@ impl OocExecutor {
         &self.tier_of
     }
 
-    fn block_range(&self, b: usize) -> (usize, usize) {
+    pub(crate) fn block_range(&self, b: usize) -> (usize, usize) {
         let start = self.boundaries[b];
         let end = self.boundaries.get(b + 1).copied().unwrap_or(self.n_layers);
         (start, end)
@@ -523,266 +567,153 @@ impl OocExecutor {
         (loss, grads, stats, trace)
     }
 
+    /// The swap engine: interpret the step's [`TransferProgram`]. Every
+    /// transfer is charged at its issue point — near memory reserved,
+    /// the far tier charged — and its priced copy submitted to the
+    /// backend: I/O lane `block % lanes`, or inline on the compute thread
+    /// without lanes. Same-lane FIFO order (and inline program order)
+    /// lands a block's swap-out in the [`SlotStore`] before its swap-in
+    /// takes it. The backend decides only *where* a transfer is waited:
+    /// inline at its issue point, on a lane at its deadline. The far
+    /// tier discharges at that wait, so in-flight bytes stay charged to
+    /// the tier they are leaving; the near trajectory is the same on
+    /// either backend.
     fn grad_step_inner(
         &self,
         net: &Sequential,
         x: &Tensor,
         labels: &[usize],
-        on_block: impl FnMut(usize, &mut [ParamGrads]),
-        trace: Option<&mut Vec<ResidencySample>>,
-    ) -> (f32, Gradients, OocStats) {
-        match &self.io_pool {
-            Some(pool) => self.grad_step_async(Arc::clone(pool), net, x, labels, on_block, trace),
-            None => self.grad_step_sync(net, x, labels, on_block, trace),
-        }
-    }
-
-    fn grad_step_sync(
-        &self,
-        net: &Sequential,
-        x: &Tensor,
-        labels: &[usize],
         mut on_block: impl FnMut(usize, &mut [ParamGrads]),
         mut trace: Option<&mut Vec<ResidencySample>>,
     ) -> (f32, Gradients, OocStats) {
         assert_eq!(net.len(), self.n_layers, "executor/net layer mismatch");
-        let mut near = NearMemory::new(self.budget);
-        let mut far = TierStack::new(&self.tiers);
-        let mut stats = OocStats::default();
-        let mut sample = |near: &NearMemory, far: &TierStack, event: ExecEvent, block: usize| {
-            if let Some(t) = trace.as_deref_mut() {
-                t.push(ResidencySample {
-                    event,
-                    block,
-                    near_bytes: near.used(),
-                    far_bytes: far.tier_resident(),
-                });
-            }
-        };
-
-        // ---- forward ----
-        near.put(0, x.clone());
-        for b in 0..self.n_blocks() {
-            let (start, end) = self.block_range(b);
-            for i in start..end {
-                let y = net.layers[i].forward(near.get(i));
-                near.put(i + 1, y);
-            }
-            if self.policy[b] == BlockPolicy::Recompute {
-                for i in start + 1..end {
-                    drop(near.take(i));
-                }
-            }
-            sample(&near, &far, ExecEvent::Forward, b);
-            // Deferred boundary tails first: their swap-out launched at an
-            // earlier step, so the transfer drains before this step's.
-            for &e in &self.boundary_out_after[b] {
-                if self.evict_after[b].contains(&e) {
-                    continue; // rides this step's swap-out below
-                }
-                let (_, ee) = self.block_range(e);
-                let t = near.take(ee);
-                stats.swapped_out_bytes += t.bytes();
-                let t0 = Instant::now();
-                far.swap_out(self.tier_of[e], ee, t);
-                stats.swap_wait_s += t0.elapsed().as_secs_f64();
-                stats.boundary_out_ops += 1;
-                sample(&near, &far, ExecEvent::BoundaryOut, e);
-            }
-            for &e in &self.evict_after[b] {
-                let (es, ee) = self.block_range(e);
-                let t0 = Instant::now();
-                for i in es + 1..ee {
-                    let t = near.take(i);
-                    stats.swapped_out_bytes += t.bytes();
-                    far.swap_out(self.tier_of[e], i, t);
-                }
-                if self.boundary_out_after[b].contains(&e) {
-                    let t = near.take(ee);
-                    stats.swapped_out_bytes += t.bytes();
-                    far.swap_out(self.tier_of[e], ee, t);
-                    stats.boundary_out_ops += 1;
-                }
-                stats.swap_wait_s += t0.elapsed().as_secs_f64();
-                stats.swap_out_ops += 1;
-                sample(&near, &far, ExecEvent::SwapOut, e);
-            }
+        let pool = self.io_pool.as_deref();
+        if let Some(pool) = pool {
+            // Poison check + per-step re-arm, like `ExchangeBuffers`.
+            pool.begin_step();
         }
-
-        // ---- loss ----
-        let logits = near.get(self.n_layers).clone();
-        let (loss, mut dy) = Sequential::softmax_xent(&logits, labels);
-        drop(near.take(self.n_layers));
-
-        // ---- backward, block by block ----
-        let mut per_layer = vec![ParamGrads::default(); self.n_layers];
-        for b in (0..self.n_blocks()).rev() {
-            // Boundary returns scheduled apart from their interior fetch
-            // come first: they are this step's hardest deadline (the
-            // step's compute restarts from them).
-            for &p in &self.boundary_in_before[b] {
-                if self.prefetch_before[b].contains(&p) {
-                    continue; // rides this step's swap-in below
-                }
-                let (_, pe) = self.block_range(p);
-                let t0 = Instant::now();
-                let t = far.swap_in(self.tier_of[p], pe);
-                stats.swap_wait_s += t0.elapsed().as_secs_f64();
-                stats.swapped_in_bytes += t.bytes();
-                near.put(pe, t);
-                stats.boundary_in_ops += 1;
-                sample(&near, &far, ExecEvent::BoundaryIn, p);
-            }
-            for &p in &self.prefetch_before[b] {
-                let (ps, pe) = self.block_range(p);
-                let t0 = Instant::now();
-                for i in ps + 1..pe {
-                    let t = far.swap_in(self.tier_of[p], i);
-                    stats.swapped_in_bytes += t.bytes();
-                    near.put(i, t);
-                }
-                if self.boundary_in_before[b].contains(&p) {
-                    let t = far.swap_in(self.tier_of[p], pe);
-                    stats.swapped_in_bytes += t.bytes();
-                    near.put(pe, t);
-                    stats.boundary_in_ops += 1;
-                }
-                stats.swap_wait_s += t0.elapsed().as_secs_f64();
-                stats.swap_in_ops += 1;
-                sample(&near, &far, ExecEvent::SwapIn, p);
-            }
-            let (start, end) = self.block_range(b);
-            if self.policy[b] == BlockPolicy::Recompute {
-                // Re-forward from the block's input boundary.
-                for i in start..end - 1 {
-                    let y = net.layers[i].forward(near.get(i));
-                    near.put(i + 1, y);
-                    stats.recomputed_layers += 1;
-                }
-                stats.recompute_ops += 1;
-                sample(&near, &far, ExecEvent::Recompute, b);
-            }
-            for i in (start..end).rev() {
-                let (dx, g) = net.layers[i].backward(near.get(i), &dy);
-                per_layer[i] = g;
-                dy = dx;
-                drop(near.take(i));
-            }
-            on_block(b, &mut per_layer[start..end]);
-            sample(&near, &far, ExecEvent::Backward, b);
-        }
-
-        stats.peak_near_bytes = near.peak();
-        stats.peak_far_bytes = far.peak_resident_bytes();
-        stats.peak_tier_bytes = far.peak_tier_bytes();
-        (loss, Gradients { per_layer }, stats)
-    }
-
-    /// Charge a swap-out group to its tier's ledger (at *issue*, exactly
-    /// when the synchronous engine would) and queue the priced copy on
-    /// block `block`'s lane. Returns the lane job's busy-time future.
-    fn issue_out(
-        &self,
-        pool: &IoLanePool,
-        slots: &Arc<SlotStore>,
-        far: &mut TierStack,
-        parked: &mut HashMap<(usize, usize), usize>,
-        block: usize,
-        group: Vec<(usize, Tensor)>,
-    ) -> IoHandle<Duration> {
-        let tier = self.tier_of[block];
-        for (key, t) in &group {
-            far.charge_out(tier, *key, t.bytes());
-            parked.insert((tier, *key), t.bytes());
-        }
-        let spec = far.spec(tier);
-        let slots = Arc::clone(slots);
-        pool.submit(block, move || {
-            let t0 = Instant::now();
-            for (key, t) in group {
-                slots.put(tier, key, priced_transfer(t, &spec));
-            }
-            t0.elapsed()
-        })
-    }
-
-    /// Reserve near memory for a fetch group (at *issue*, so the
-    /// near-memory trajectory matches the synchronous engine sample for
-    /// sample), queue its priced copy on block `block`'s lane, and
-    /// return the pending wait. The tier's charge is **not** released
-    /// here — that happens at the deadline wait, keeping in-flight bytes
-    /// against the source tier.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_in(
-        &self,
-        pool: &IoLanePool,
-        slots: &Arc<SlotStore>,
-        near: &mut NearMemory,
-        far: &TierStack,
-        parked: &mut HashMap<(usize, usize), usize>,
-        stats: &mut OocStats,
-        block: usize,
-        keys: Vec<usize>,
-        deadline: usize,
-    ) -> InFlightFetch {
-        let tier = self.tier_of[block];
-        for &key in &keys {
-            let bytes = parked
-                .remove(&(tier, key))
-                .unwrap_or_else(|| panic!("fetch of tier {tier} slot {key} that never parked"));
-            stats.swapped_in_bytes += bytes;
-            near.reserve(key, bytes);
-        }
-        let spec = far.spec(tier);
-        let slots = Arc::clone(slots);
-        let handle = pool.submit(block, move || {
-            let t0 = Instant::now();
-            let group: Vec<(usize, Tensor)> = keys
-                .into_iter()
-                .map(|key| (key, priced_transfer(slots.take(tier, key), &spec)))
-                .collect();
-            (group, t0.elapsed())
-        });
-        InFlightFetch {
-            handle,
-            tier,
-            deadline,
-        }
-    }
-
-    /// The asynchronous engine: the same schedule and arithmetic as
-    /// [`OocExecutor::grad_step_sync`], but every transfer is *issued* to
-    /// an I/O lane at its scheduled point and *waited* at its deadline,
-    /// overlapping copy passes and link time with compute. Same-lane FIFO
-    /// order (lane = block mod lanes) guarantees a block's swap-out
-    /// physically lands in the [`SlotStore`] before its swap-in job takes
-    /// it; near memory is reserved at issue so the near trajectory is
-    /// byte-identical to the synchronous engine; far tiers discharge at
-    /// the wait, which is the in-flight accounting the overlap replay
-    /// predicts.
-    fn grad_step_async(
-        &self,
-        pool: Arc<IoLanePool>,
-        net: &Sequential,
-        x: &Tensor,
-        labels: &[usize],
-        mut on_block: impl FnMut(usize, &mut [ParamGrads]),
-        mut trace: Option<&mut Vec<ResidencySample>>,
-    ) -> (f32, Gradients, OocStats) {
-        assert_eq!(net.len(), self.n_layers, "executor/net layer mismatch");
-        // Poison check + per-step re-arm, like `ExchangeBuffers`.
-        let _epoch = pool.begin_step();
+        let program = TransferProgram::new(self);
         let slots = Arc::new(SlotStore::new());
         let mut near = NearMemory::new(self.budget);
         let mut far = TierStack::new(&self.tiers);
         let mut stats = OocStats::default();
-        // Byte sizes of parked tensors, kept on the compute thread so a
-        // fetch can reserve near memory before the tensor itself arrives.
-        let mut parked: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut out_jobs: Vec<IoHandle<Duration>> = Vec::new();
-        let mut in_flight: Vec<InFlightFetch> = Vec::new();
-        let mut sample = |near: &NearMemory, far: &TierStack, event: ExecEvent, block: usize| {
-            if let Some(t) = trace.as_deref_mut() {
+        let mut in_flight: Vec<Flight> = Vec::new();
+        let mut per_layer = vec![ParamGrads::default(); self.n_layers];
+        let (mut loss, mut dy) = (0.0, None);
+
+        near.put(0, x.clone());
+        for op in &program.ops {
+            let event = match *op {
+                Op::Forward(b) => {
+                    let (start, end) = program.range(b);
+                    for i in start..end {
+                        let y = net.layers[i].forward(near.get(i));
+                        near.put(i + 1, y);
+                    }
+                    if program.recomputes(b) {
+                        for i in start + 1..end {
+                            drop(near.take(i));
+                        }
+                    }
+                    Some((ExecEvent::Forward, b))
+                }
+                Op::Out(ref t) => {
+                    let tier = self.tier_of[t.block];
+                    let group: Vec<(usize, Tensor)> = t
+                        .keys
+                        .clone()
+                        .map(|key| {
+                            let tensor = near.take(key);
+                            far.charge_out(tier, key, tensor.bytes());
+                            stats.swapped_out_bytes += tensor.bytes();
+                            (key, tensor)
+                        })
+                        .collect();
+                    stats.swap_out_ops += usize::from(t.event == ExecEvent::SwapOut);
+                    stats.boundary_out_ops += usize::from(t.boundary);
+                    let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
+                    let job = Job::submit(pool, t.block, move || {
+                        for (key, tensor) in group {
+                            slots.put(tier, key, priced_transfer(tensor, &spec));
+                        }
+                        Vec::new()
+                    });
+                    in_flight.push(Flight {
+                        job,
+                        tier,
+                        deadline: t.deadline,
+                    });
+                    Some((t.event, t.block))
+                }
+                Op::Loss => {
+                    let logits = near.take(self.n_layers);
+                    let (l, grad) = Sequential::softmax_xent(&logits, labels);
+                    (loss, dy) = (l, Some(grad));
+                    None
+                }
+                Op::In(ref t) => {
+                    let tier = self.tier_of[t.block];
+                    for key in t.keys.clone() {
+                        let bytes = far.charged(tier, key);
+                        stats.swapped_in_bytes += bytes;
+                        near.reserve(key, bytes);
+                    }
+                    stats.swap_in_ops += usize::from(t.event == ExecEvent::SwapIn);
+                    stats.boundary_in_ops += usize::from(t.boundary);
+                    let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
+                    let keys = t.keys.clone();
+                    let job = Job::submit(pool, t.block, move || {
+                        keys.map(|key| (key, priced_transfer(slots.take(tier, key), &spec)))
+                            .collect()
+                    });
+                    in_flight.push(Flight {
+                        job,
+                        tier,
+                        deadline: t.deadline,
+                    });
+                    Some((t.event, t.block))
+                }
+                Op::Await(b) => {
+                    let (due, later): (Vec<Flight>, Vec<Flight>) = std::mem::take(&mut in_flight)
+                        .into_iter()
+                        .partition(|f| f.deadline.is_some_and(|d| d >= b));
+                    in_flight = later;
+                    for f in due {
+                        f.land(&mut near, &mut far, &mut stats);
+                    }
+                    None
+                }
+                Op::Recompute(b) => {
+                    let (start, end) = program.range(b);
+                    for i in start..end - 1 {
+                        let y = net.layers[i].forward(near.get(i));
+                        near.put(i + 1, y);
+                        stats.recomputed_layers += 1;
+                    }
+                    stats.recompute_ops += 1;
+                    Some((ExecEvent::Recompute, b))
+                }
+                Op::Backward(b) => {
+                    let (start, end) = program.range(b);
+                    for i in (start..end).rev() {
+                        let upstream = dy.as_ref().expect("the loss precedes every backward");
+                        let (dx, g) = net.layers[i].backward(near.get(i), upstream);
+                        per_layer[i] = g;
+                        dy = Some(dx);
+                        drop(near.take(i));
+                    }
+                    on_block(b, &mut per_layer[start..end]);
+                    Some((ExecEvent::Backward, b))
+                }
+            };
+            // The backend's one rule: an inline transfer is waited at its
+            // issue point, a lane transfer at its deadline.
+            if pool.is_none() {
+                for f in in_flight.drain(..) {
+                    f.land(&mut near, &mut far, &mut stats);
+                }
+            }
+            if let (Some((event, block)), Some(t)) = (event, trace.as_deref_mut()) {
                 t.push(ResidencySample {
                     event,
                     block,
@@ -790,170 +721,15 @@ impl OocExecutor {
                     far_bytes: far.tier_resident(),
                 });
             }
-        };
-
-        // ---- forward ----
-        near.put(0, x.clone());
-        for b in 0..self.n_blocks() {
-            let (start, end) = self.block_range(b);
-            for i in start..end {
-                let y = net.layers[i].forward(near.get(i));
-                near.put(i + 1, y);
-            }
-            if self.policy[b] == BlockPolicy::Recompute {
-                for i in start + 1..end {
-                    drop(near.take(i));
-                }
-            }
-            sample(&near, &far, ExecEvent::Forward, b);
-            for &e in &self.boundary_out_after[b] {
-                if self.evict_after[b].contains(&e) {
-                    continue; // rides this step's swap-out below
-                }
-                let (_, ee) = self.block_range(e);
-                let t = near.take(ee);
-                stats.swapped_out_bytes += t.bytes();
-                stats.boundary_out_ops += 1;
-                out_jobs.push(self.issue_out(
-                    &pool,
-                    &slots,
-                    &mut far,
-                    &mut parked,
-                    e,
-                    vec![(ee, t)],
-                ));
-                sample(&near, &far, ExecEvent::BoundaryOut, e);
-            }
-            for &e in &self.evict_after[b] {
-                let (es, ee) = self.block_range(e);
-                let mut group = Vec::new();
-                for i in es + 1..ee {
-                    let t = near.take(i);
-                    stats.swapped_out_bytes += t.bytes();
-                    group.push((i, t));
-                }
-                if self.boundary_out_after[b].contains(&e) {
-                    let t = near.take(ee);
-                    stats.swapped_out_bytes += t.bytes();
-                    stats.boundary_out_ops += 1;
-                    group.push((ee, t));
-                }
-                stats.swap_out_ops += 1;
-                out_jobs.push(self.issue_out(&pool, &slots, &mut far, &mut parked, e, group));
-                sample(&near, &far, ExecEvent::SwapOut, e);
-            }
         }
-
-        // ---- loss ----
-        let logits = near.get(self.n_layers).clone();
-        let (loss, mut dy) = Sequential::softmax_xent(&logits, labels);
-        drop(near.take(self.n_layers));
-
-        // ---- backward, block by block ----
-        let mut per_layer = vec![ParamGrads::default(); self.n_layers];
-        for b in (0..self.n_blocks()).rev() {
-            for &p in &self.boundary_in_before[b] {
-                if self.prefetch_before[b].contains(&p) {
-                    continue; // rides this step's swap-in below
-                }
-                let (_, pe) = self.block_range(p);
-                stats.boundary_in_ops += 1;
-                // The boundary is consumed by step p+1's compute.
-                let f = self.issue_in(
-                    &pool,
-                    &slots,
-                    &mut near,
-                    &far,
-                    &mut parked,
-                    &mut stats,
-                    p,
-                    vec![pe],
-                    p + 1,
-                );
-                in_flight.push(f);
-                sample(&near, &far, ExecEvent::BoundaryIn, p);
-            }
-            for &p in &self.prefetch_before[b] {
-                let (ps, pe) = self.block_range(p);
-                let mut keys: Vec<usize> = (ps + 1..pe).collect();
-                // Interiors are consumed by step p's compute; a riding
-                // boundary by step p+1's (processed earlier), which then
-                // bounds the whole group.
-                let mut deadline = p;
-                if self.boundary_in_before[b].contains(&p) {
-                    keys.push(pe);
-                    stats.boundary_in_ops += 1;
-                    deadline = p + 1;
-                }
-                stats.swap_in_ops += 1;
-                let f = self.issue_in(
-                    &pool,
-                    &slots,
-                    &mut near,
-                    &far,
-                    &mut parked,
-                    &mut stats,
-                    p,
-                    keys,
-                    deadline,
-                );
-                in_flight.push(f);
-                sample(&near, &far, ExecEvent::SwapIn, p);
-            }
-            // Deadline wait: everything due at this step (steps run
-            // n-1 → 0, so "deadline >= b" means due now) must land before
-            // compute reads it. The far tiers discharge *here*, not at
-            // issue — in-flight bytes stay charged to their source tier.
-            let mut i = 0;
-            while i < in_flight.len() {
-                if in_flight[i].deadline >= b {
-                    let f = in_flight.swap_remove(i);
-                    let t0 = Instant::now();
-                    let (group, busy) = f.handle.wait();
-                    account_wait(&mut stats, t0.elapsed(), busy);
-                    for (key, t) in group {
-                        far.discharge(f.tier, key);
-                        near.fulfill(key, t);
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            let (start, end) = self.block_range(b);
-            if self.policy[b] == BlockPolicy::Recompute {
-                for i in start..end - 1 {
-                    let y = net.layers[i].forward(near.get(i));
-                    near.put(i + 1, y);
-                    stats.recomputed_layers += 1;
-                }
-                stats.recompute_ops += 1;
-                sample(&near, &far, ExecEvent::Recompute, b);
-            }
-            for i in (start..end).rev() {
-                let (dx, g) = net.layers[i].backward(near.get(i), &dy);
-                per_layer[i] = g;
-                dy = dx;
-                drop(near.take(i));
-            }
-            on_block(b, &mut per_layer[start..end]);
-            sample(&near, &far, ExecEvent::Backward, b);
+        // Drain the swap-outs (normally long done: any block here is
+        // genuine wait) and check the engine really emptied.
+        for f in in_flight {
+            f.land(&mut near, &mut far, &mut stats);
         }
-
-        // Drain the swap-out futures (normally long done — any block here
-        // is genuine wait) and check the engine really emptied.
-        for h in out_jobs {
-            let t0 = Instant::now();
-            let busy = h.wait();
-            account_wait(&mut stats, t0.elapsed(), busy);
-        }
-        assert!(in_flight.is_empty(), "a fetch outlived every deadline");
         assert!(
             slots.is_empty(),
-            "asynchronous engine left tensors parked in the slot store"
-        );
-        assert!(
-            parked.is_empty(),
-            "asynchronous engine left ledger entries for unfetched tensors"
+            "the swap engine left tensors parked in the slot store"
         );
 
         stats.peak_near_bytes = near.peak();

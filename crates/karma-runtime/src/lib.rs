@@ -4,13 +4,15 @@
 //! crate answers *whether it computes the right thing*, reproducing the
 //! paper's accuracy-parity validation (Sec. IV-D) at laptop scale:
 //!
-//! * [`store`] — a budgeted **near-memory** arena plus an unbounded **far
-//!   memory** store; every activation lives in exactly one of them and all
+//! * [`store`] — a budgeted **near-memory** arena plus a **far-memory**
+//!   tier stack; every activation lives in exactly one of them and all
 //!   movement is accounted (bytes, transfer counts, peak usage);
 //! * [`exec::OocExecutor`] — runs a real `karma-tensor` training step under
 //!   a hard near-memory budget, with per-block policies (resident / swap /
-//!   recompute) mirroring the planner's schedules. Because layers are pure
-//!   functions over explicitly saved inputs, the executed arithmetic is
+//!   recompute) mirroring the planner's schedules, lowered once into a
+//!   step-ordered transfer program that one swap engine interprets
+//!   (inline, or on I/O lanes). Because layers are pure functions over
+//!   explicitly saved inputs, the executed arithmetic is
 //!   **bit-identical** to in-core training — the property the paper's
 //!   accuracy experiments check empirically;
 //! * [`dp`] — multi-worker data parallelism with the *grouped phased*
@@ -43,6 +45,7 @@ pub mod dp;
 pub mod elastic;
 pub mod exec;
 pub mod fault;
+mod program;
 pub mod store;
 
 pub use bridge::{
@@ -62,4 +65,4 @@ pub use elastic::{
 };
 pub use exec::{BlockPolicy, ExecEvent, OocExecutor, OocStats, ResidencySample};
 pub use fault::{train_with_failures, Failure, FaultReport};
-pub use store::{FarMemory, NearMemory, SlotStore, TierSpec, TierStack};
+pub use store::{NearMemory, SlotStore, TierSpec, TierStack};

@@ -25,14 +25,14 @@ pub struct TierSpec {
     pub copy_passes: usize,
     /// Link occupancy in nanoseconds per KiB transferred (0 = free link).
     /// Paid as a real `thread::sleep` by whichever thread executes the
-    /// transfer: inline on the compute thread in the synchronous engine,
-    /// on the I/O lane in the asynchronous one.
+    /// transfer: the compute thread for an inline transfer, an I/O lane
+    /// otherwise.
     pub link_ns_per_kib: u64,
 }
 
 impl TierSpec {
-    /// An unbounded host-speed tier — the single-pool `FarMemory`
-    /// behaviour expressed as a one-tier stack.
+    /// An unbounded host-speed tier: the classic single far-memory pool
+    /// as a one-tier stack.
     pub fn unbounded() -> Self {
         TierSpec {
             capacity: usize::MAX,
@@ -77,11 +77,11 @@ impl TierSpec {
     }
 }
 
-/// Per-tier state: a `FarMemory`-shaped ledger plus the tier's spec.
-/// `slots` holds the parked tensors on the synchronous path; `charged`
-/// holds byte-only reservations on the asynchronous path, where the
-/// tensors themselves travel through a [`SlotStore`] on the I/O lanes
-/// while the accounting stays on the compute thread.
+/// Per-tier state: a traffic and residency ledger plus the tier's spec.
+/// `slots` holds tensors parked with [`TierStack::swap_out`] (e.g.
+/// checkpoints); `charged` holds the swap engine's byte-only charges,
+/// whose tensors travel through a [`SlotStore`] while the accounting
+/// stays on the compute thread.
 #[derive(Debug)]
 struct TierState {
     spec: TierSpec,
@@ -124,8 +124,8 @@ fn priced_copy(t: Tensor, passes: usize) -> Tensor {
 /// Perform one full transfer of `t` through a tier: the priced copy
 /// passes (memory-bandwidth cost) plus the link-occupancy sleep (wire
 /// time). This is the single definition of a transfer's wall price —
-/// the synchronous engine calls it inline on the compute thread, the
-/// asynchronous engine calls it on an I/O lane. Bitwise-neutral.
+/// the swap engine runs it inline on the compute thread or on an I/O
+/// lane. Bitwise-neutral.
 pub fn priced_transfer(t: Tensor, spec: &TierSpec) -> Tensor {
     let bytes = t.bytes();
     let out = priced_copy(t, spec.copy_passes);
@@ -137,11 +137,10 @@ pub fn priced_transfer(t: Tensor, spec: &TierSpec) -> Tensor {
 }
 
 /// An ordered stack of far-memory tiers (e.g. host DRAM, then simulated
-/// NVMe), each with its own capacity, transfer price and
-/// `FarMemory`-style accounting. The whole-stack `resident_bytes` /
-/// `peak_resident_bytes` counters keep `FarMemory`'s semantics (peak of
-/// the *total* parked bytes), so a one-tier unbounded stack is a drop-in
-/// replacement for the single pool.
+/// NVMe), each with its own capacity, transfer price and traffic
+/// accounting. The whole-stack `resident_bytes` / `peak_resident_bytes`
+/// counters track the *total* parked bytes, so a one-tier unbounded
+/// stack is the classic single pool.
 #[derive(Debug)]
 pub struct TierStack {
     tiers: Vec<TierState>,
@@ -186,8 +185,8 @@ impl TierStack {
         let bytes = t.bytes();
         let spec = self.charge_out(tier, key, bytes);
         let t = priced_transfer(t, &spec);
-        // The synchronous path stores the tensor itself; the byte-only
-        // charge marker is for the async ledger and must not linger.
+        // This path stores the tensor itself; the byte-only charge
+        // marker is for the swap engine's ledger and must not linger.
         self.tiers[tier].charged.remove(&key);
         self.tiers[tier].slots.insert(key, t);
     }
@@ -198,18 +197,17 @@ impl TierStack {
             .slots
             .remove(&key)
             .unwrap_or_else(|| panic!("far-memory tier {tier} slot {key} is empty"));
-        let bytes = t.bytes();
-        self.discharge_in(tier, key, bytes);
+        self.discharge_in(tier, t.bytes());
         let spec = self.tiers[tier].spec;
         priced_transfer(t, &spec)
     }
 
     /// Accounting half of a swap-out: charge `bytes` under `key` to tier
     /// `tier`'s ledger (occupancy + capacity asserted, traffic counted,
-    /// peaks advanced) without storing or pricing a tensor. The
-    /// asynchronous engine calls this at *issue* time on the compute
-    /// thread while the physical copy runs on an I/O lane; returns the
-    /// tier's spec so the lane job can price the copy identically.
+    /// peaks advanced) without storing or pricing a tensor. The swap
+    /// engine calls this at *issue* time on the compute thread while the
+    /// physical copy runs as a transfer job; returns the tier's spec so
+    /// the job can price the copy identically.
     pub fn charge_out(&mut self, tier: usize, key: usize, bytes: usize) -> TierSpec {
         let ts = &mut self.tiers[tier];
         assert!(
@@ -232,30 +230,35 @@ impl TierStack {
         ts.spec
     }
 
-    /// Accounting half of a swap-in: release `key`'s charge from tier
-    /// `tier`'s ledger. The asynchronous engine calls this at the
-    /// transfer's *deadline* (the wait point), not at issue — so between
-    /// issue and wait the in-flight bytes stay charged to the source
-    /// tier, which is exactly the in-flight residency the overlap replay
-    /// predicts.
-    fn discharge_in(&mut self, tier: usize, key: usize, bytes: usize) {
+    /// Accounting half of a swap-in: release `bytes` from tier `tier`'s
+    /// ledger. The swap engine does this at the transfer's *wait point*,
+    /// not at issue — so while a lane transfer is in flight its bytes
+    /// stay charged to the source tier, which is exactly the in-flight
+    /// residency the overlap replay predicts.
+    fn discharge_in(&mut self, tier: usize, bytes: usize) {
         let ts = &mut self.tiers[tier];
         ts.bytes_in += bytes;
         ts.transfers += 1;
         ts.resident -= bytes;
         self.resident -= bytes;
-        let _ = key;
     }
 
     /// Ledger-only swap-in release for a charge made with
     /// [`TierStack::charge_out`]. Returns the charged byte count.
     pub fn discharge(&mut self, tier: usize, key: usize) -> usize {
-        let bytes = self.tiers[tier]
-            .charged
-            .remove(&key)
-            .unwrap_or_else(|| panic!("far-memory tier {tier} slot {key} has no charge"));
-        self.discharge_in(tier, key, bytes);
+        let bytes = self.charged(tier, key);
+        self.tiers[tier].charged.remove(&key);
+        self.discharge_in(tier, bytes);
         bytes
+    }
+
+    /// Bytes charged under `key` in tier `tier` by
+    /// [`TierStack::charge_out`] and not yet discharged.
+    pub(crate) fn charged(&self, tier: usize, key: usize) -> usize {
+        *self.tiers[tier]
+            .charged
+            .get(&key)
+            .unwrap_or_else(|| panic!("far-memory tier {tier} slot {key} has no charge"))
     }
 
     /// Is `key` present in tier `tier`?
@@ -268,8 +271,7 @@ impl TierStack {
         self.resident
     }
 
-    /// High-water mark of the total parked bytes (matches `FarMemory`'s
-    /// `peak_resident_bytes` for a one-tier stack).
+    /// High-water mark of the total parked bytes.
     pub fn peak_resident_bytes(&self) -> usize {
         self.peak_resident
     }
@@ -314,10 +316,10 @@ pub struct NearMemory {
     used: usize,
     peak: usize,
     slots: HashMap<usize, Tensor>,
-    /// Byte-only reservations for in-flight fetches: the asynchronous
-    /// engine charges near memory at a transfer's *issue* point (so the
-    /// residency trajectory matches the synchronous engine sample for
-    /// sample) and deposits the tensor itself at the deadline wait.
+    /// Byte-only reservations for in-flight fetches: the swap engine
+    /// charges near memory at a transfer's *issue* point (so the
+    /// residency trajectory does not depend on where the transfer is
+    /// waited) and deposits the tensor itself at the wait.
     pending: HashMap<usize, usize>,
 }
 
@@ -336,20 +338,8 @@ impl NearMemory {
     /// Store tensor under `key`. Panics if the budget would be exceeded or
     /// the key is occupied.
     pub fn put(&mut self, key: usize, t: Tensor) {
-        assert!(
-            !self.slots.contains_key(&key) && !self.pending.contains_key(&key),
-            "near-memory slot {key} already occupied"
-        );
-        let bytes = t.bytes();
-        assert!(
-            self.used + bytes <= self.budget,
-            "near-memory OOM: need {bytes} B with {} B used of {} B budget",
-            self.used,
-            self.budget
-        );
-        self.used += bytes;
-        self.peak = self.peak.max(self.used);
-        self.slots.insert(key, t);
+        self.reserve(key, t.bytes());
+        self.fulfill(key, t);
     }
 
     /// Remove and return the tensor under `key`.
@@ -363,10 +353,9 @@ impl NearMemory {
     }
 
     /// Charge `bytes` under `key` for an in-flight fetch: the budget is
-    /// asserted and `used`/`peak` advance exactly as [`NearMemory::put`]
-    /// would, but the slot holds no tensor yet — [`NearMemory::fulfill`]
-    /// deposits it later without a second charge. Panics like `put` on an
-    /// occupied key or a blown budget.
+    /// asserted and `used`/`peak` advance, but the slot holds no tensor
+    /// yet — [`NearMemory::fulfill`] deposits it later without a second
+    /// charge. Panics on an occupied key or a blown budget.
     pub fn reserve(&mut self, key: usize, bytes: usize) {
         assert!(
             !self.slots.contains_key(&key) && !self.pending.contains_key(&key),
@@ -432,87 +421,11 @@ impl NearMemory {
     }
 }
 
-/// Host-side store: unbounded, but movement through it is counted so tests
-/// and reports can verify swap traffic, and residency is tracked so the
-/// host-side footprint of the swap pool (what a ZeRO-Infinity-style
-/// offload would have to provision) is reportable.
-#[derive(Debug, Default)]
-pub struct FarMemory {
-    slots: HashMap<usize, Tensor>,
-    bytes_in: usize,
-    bytes_out: usize,
-    transfers: usize,
-    resident: usize,
-    peak_resident: usize,
-}
-
-impl FarMemory {
-    /// Empty store.
-    pub fn new() -> Self {
-        FarMemory::default()
-    }
-
-    /// Swap a tensor out of the device into far memory.
-    pub fn swap_out(&mut self, key: usize, t: Tensor) {
-        assert!(
-            !self.slots.contains_key(&key),
-            "far-memory slot {key} already occupied"
-        );
-        self.bytes_out += t.bytes();
-        self.transfers += 1;
-        self.resident += t.bytes();
-        self.peak_resident = self.peak_resident.max(self.resident);
-        self.slots.insert(key, t);
-    }
-
-    /// Swap a tensor back in (removes it from far memory).
-    pub fn swap_in(&mut self, key: usize) -> Tensor {
-        let t = self
-            .slots
-            .remove(&key)
-            .unwrap_or_else(|| panic!("far-memory slot {key} is empty"));
-        self.bytes_in += t.bytes();
-        self.transfers += 1;
-        self.resident -= t.bytes();
-        t
-    }
-
-    /// Bytes currently parked in far memory.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident
-    }
-
-    /// High-water mark of the far-memory pool.
-    pub fn peak_resident_bytes(&self) -> usize {
-        self.peak_resident
-    }
-
-    /// Is `key` present?
-    pub fn contains(&self, key: usize) -> bool {
-        self.slots.contains_key(&key)
-    }
-
-    /// Total bytes moved host→device so far.
-    pub fn bytes_swapped_in(&self) -> usize {
-        self.bytes_in
-    }
-
-    /// Total bytes moved device→host so far.
-    pub fn bytes_swapped_out(&self) -> usize {
-        self.bytes_out
-    }
-
-    /// Number of individual transfers.
-    pub fn transfers(&self) -> usize {
-        self.transfers
-    }
-}
-
 /// Thread-shared parking space for in-flight tensors, keyed by
-/// `(tier, key)`. The asynchronous engine's swap-out lane jobs `put`
-/// here after their priced copy completes, and the matching swap-in lane
-/// jobs `take` from here — same-lane FIFO ordering guarantees the put
-/// lands first. A tensor is only ever published *whole*: a lane job that
+/// `(tier, key)`. The swap engine's swap-out jobs `put` here after their
+/// priced copy completes, and the matching swap-in jobs `take` from here
+/// — same-lane FIFO ordering (or, inline, program order) guarantees the
+/// put lands first. A tensor is only ever published *whole*: a job that
 /// panics mid-copy never inserts, so partial copies are unobservable.
 #[derive(Debug, Default)]
 pub struct SlotStore {
@@ -634,29 +547,34 @@ mod tests {
         near.fulfill(0, t(4));
     }
 
+    /// The classic single far-memory pool: one unbounded host tier.
+    fn pool() -> TierStack {
+        TierStack::new(&[TierSpec::unbounded()])
+    }
+
     #[test]
     fn far_memory_counts_traffic() {
-        let mut far = FarMemory::new();
-        far.swap_out(3, t(100));
-        assert!(far.contains(3));
+        let mut far = pool();
+        far.swap_out(0, 3, t(100));
+        assert!(far.contains(0, 3));
         assert_eq!(far.resident_bytes(), 100);
-        let back = far.swap_in(3);
+        let back = far.swap_in(0, 3);
         assert_eq!(back.bytes(), 100);
         assert_eq!(far.bytes_swapped_out(), 100);
         assert_eq!(far.bytes_swapped_in(), 100);
         assert_eq!(far.transfers(), 2);
-        assert!(!far.contains(3));
+        assert!(!far.contains(0, 3));
         assert_eq!(far.resident_bytes(), 0);
         assert_eq!(far.peak_resident_bytes(), 100);
     }
 
     #[test]
     fn far_memory_peak_tracks_concurrent_residency() {
-        let mut far = FarMemory::new();
-        far.swap_out(0, t(40));
-        far.swap_out(1, t(60));
-        far.swap_in(0);
-        far.swap_out(2, t(20));
+        let mut far = pool();
+        far.swap_out(0, 0, t(40));
+        far.swap_out(0, 1, t(60));
+        far.swap_in(0, 0);
+        far.swap_out(0, 2, t(20));
         assert_eq!(far.peak_resident_bytes(), 100);
         assert_eq!(far.resident_bytes(), 80);
     }
@@ -664,17 +582,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn far_memory_swap_in_of_missing_key_panics() {
-        FarMemory::new().swap_in(9);
+        pool().swap_in(0, 9);
     }
 
     #[test]
     fn far_memory_zero_byte_tensors_round_trip_without_moving_bytes() {
-        let mut far = FarMemory::new();
-        far.swap_out(0, t(0));
-        assert!(far.contains(0));
+        let mut far = pool();
+        far.swap_out(0, 0, t(0));
+        assert!(far.contains(0, 0));
         assert_eq!(far.resident_bytes(), 0);
         assert_eq!(far.peak_resident_bytes(), 0);
-        let back = far.swap_in(0);
+        let back = far.swap_in(0, 0);
         assert_eq!(back.bytes(), 0);
         assert_eq!(
             far.transfers(),
@@ -686,11 +604,11 @@ mod tests {
 
     #[test]
     fn far_memory_reswap_of_just_swapped_key_reuses_the_slot() {
-        let mut far = FarMemory::new();
-        far.swap_out(5, t(40));
-        let back = far.swap_in(5);
+        let mut far = pool();
+        far.swap_out(0, 5, t(40));
+        let back = far.swap_in(0, 5);
         // Swapping the same key right back out must find the slot free.
-        far.swap_out(5, back);
+        far.swap_out(0, 5, back);
         assert_eq!(far.resident_bytes(), 40);
         assert_eq!(
             far.peak_resident_bytes(),
@@ -707,39 +625,22 @@ mod tests {
         // A block's interiors (keys 1,2) and its boundary (key 3) leave at
         // different times and return in the opposite order, the way the
         // executor interleaves SwapOut/BoundaryOut and SwapIn/BoundaryIn.
-        let mut far = FarMemory::new();
-        far.swap_out(1, t(40)); // interior
-        far.swap_out(2, t(40)); // interior
+        let mut far = pool();
+        far.swap_out(0, 1, t(40)); // interior
+        far.swap_out(0, 2, t(40)); // interior
         assert_eq!(far.peak_resident_bytes(), 80);
-        far.swap_out(3, t(20)); // boundary departs later
+        far.swap_out(0, 3, t(20)); // boundary departs later
         assert_eq!(far.peak_resident_bytes(), 100, "peak includes the boundary");
-        far.swap_in(3); // boundary returns first
-        far.swap_out(4, t(32)); // next block departs while interiors parked
+        far.swap_in(0, 3); // boundary returns first
+        far.swap_out(0, 4, t(32)); // next block departs while interiors parked
         assert_eq!(far.resident_bytes(), 112);
         assert_eq!(far.peak_resident_bytes(), 112, "peak advances past the dip");
-        far.swap_in(1);
-        far.swap_in(2);
-        far.swap_in(4);
+        far.swap_in(0, 1);
+        far.swap_in(0, 2);
+        far.swap_in(0, 4);
         assert_eq!(far.resident_bytes(), 0);
         assert_eq!(far.peak_resident_bytes(), 112, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn tier_stack_single_unbounded_tier_matches_far_memory() {
-        let mut far = FarMemory::new();
-        let mut stack = TierStack::new(&[TierSpec::unbounded()]);
-        for (key, bytes) in [(0, 40), (1, 60), (2, 20)] {
-            far.swap_out(key, t(bytes));
-            stack.swap_out(0, key, t(bytes));
-        }
-        far.swap_in(1);
-        stack.swap_in(0, 1);
-        assert_eq!(stack.resident_bytes(), far.resident_bytes());
-        assert_eq!(stack.peak_resident_bytes(), far.peak_resident_bytes());
-        assert_eq!(stack.bytes_swapped_in(), far.bytes_swapped_in());
-        assert_eq!(stack.bytes_swapped_out(), far.bytes_swapped_out());
-        assert_eq!(stack.transfers(), far.transfers());
-        assert_eq!(stack.peak_tier_bytes(), vec![far.peak_resident_bytes()]);
+        assert_eq!(far.peak_tier_bytes(), vec![112]);
     }
 
     #[test]

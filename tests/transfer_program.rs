@@ -1,0 +1,207 @@
+//! The transfer program matches the plan IR it was lowered from.
+//!
+//! The swap engine, the residency replay and the swap-timing model all
+//! interpret one transfer program, lowered once from the executor's
+//! schedule. The program is crate-private, so this suite reads it
+//! through `expected_swap_timing`: that model is a fold over the program
+//! emitting one `SwapTransfer` per `Out`/`In` op, in program order, with
+//! the op's event, block and issuing step. With every near-memory key
+//! priced at one byte, a transfer's `bytes` counts the keys it moves.
+//!
+//! The oracle is the plan, not a second walk of the schedule:
+//!
+//! * the program's swap-outs and swap-ins correspond one-to-one and in
+//!   order with the plan's `SwapOut`/`SwapIn` ops — same block, same
+//!   issuing step (a `SwapOut` issues after the latest forward before
+//!   it, a `SwapIn` before the backward step of the next compute op);
+//! * a boundary rides its block's transfer exactly when the lowered
+//!   schedule names the block at its own eviction (fetch) step, and moves
+//!   on a transfer of its own at its scheduled step otherwise.
+
+use karma::core::cost::{BlockCosts, LayerCostTable};
+use karma::core::plan::{OpKind, Plan};
+use karma::core::{
+    build_training_plan, lower_to_runtime, optimize_blocking, refine_recompute,
+    CapacityPlanOptions, OptConfig,
+};
+use karma::graph::{MemoryParams, ModelGraph};
+use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
+use karma::runtime::bridge::{expected_swap_timing, graph_boundaries_to_net};
+use karma::runtime::{ExecEvent, TierSpec};
+use karma::sim::ModelProfile;
+use karma::zoo::micro::{conv_stack_graph, mlp_stack_graph, resnet_style_graph};
+
+/// Profile → blocking → recompute refinement → capacity-builder plan on a
+/// device with `device_bytes`, as `tests/async_swap.rs::plan_conv_stack`
+/// does. Returns the plan, its costs and its net-space boundaries.
+fn capacity_plan(
+    graph: &ModelGraph,
+    batch: usize,
+    device_bytes: f64,
+    cfg: &OptConfig,
+) -> (Plan, BlockCosts, Vec<usize>) {
+    let mem = MemoryParams::exact();
+    let node = NodeSpec::toy(
+        GpuSpec::toy(device_bytes as u64, 5.0e9),
+        LinkSpec::toy(4.0e9),
+    );
+    let profile = ModelProfile::collect(graph, batch, &node.gpu, &mem);
+    let table = LayerCostTable::from_profile(&profile, &node);
+    let bounds = optimize_blocking(&table, cfg);
+    let costs = table.block_costs(&bounds);
+    let rc = refine_recompute(&costs);
+    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
+    let net_bounds = graph_boundaries_to_net(&bounds).expect("min_cut_layer=2 forbids cut 1");
+    (cp.plan, costs, net_bounds)
+}
+
+/// The conv-stack plan of `tests/async_swap.rs`, then every cell of the
+/// fig5 micro grid (each executable micro-zoo mirror at batches 8 and 16
+/// on a device holding the model state plus 65% of the activations).
+fn plans() -> Vec<(String, ModelGraph, Plan, BlockCosts, Vec<usize>)> {
+    let mem = MemoryParams::exact();
+    let mut cfg = OptConfig::fast(17);
+    cfg.min_cut_layer = 2;
+    let mut conv_cfg = cfg.clone();
+    conv_cfg.max_cut_candidates = 5;
+    let conv = conv_stack_graph(6, 4);
+    let need = conv.peak_footprint(16, &mem) as f64;
+    let (plan, costs, bounds) = capacity_plan(&conv, 16, need * 0.65, &conv_cfg);
+    let mut out = vec![(
+        "async-swap conv-stack".to_string(),
+        conv,
+        plan,
+        costs,
+        bounds,
+    )];
+    let grid = [
+        ("conv-stack", conv_stack_graph(6, 4)),
+        ("mlp-stack", mlp_stack_graph(3, 64, 4)),
+        ("resnet-style", resnet_style_graph(4)),
+    ];
+    for (name, graph) in grid {
+        for batch in [8, 16] {
+            let state = graph.memory(batch, &mem).model_state() as f64;
+            let acts = graph.peak_footprint(batch, &mem) as f64 - state;
+            let (plan, costs, bounds) = capacity_plan(&graph, batch, state + acts * 0.65, &cfg);
+            out.push((
+                format!("{name}/b{batch}"),
+                graph.clone(),
+                plan,
+                costs,
+                bounds,
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
+    let (mut swaps, mut riding, mut alone) = (0, 0, 0);
+    for (name, graph, plan, costs, bounds) in plans() {
+        let n = plan.n_blocks;
+        let n_layers = graph.len() - 1;
+        let unit_keys = vec![1usize; n_layers + 1];
+        let timing = expected_swap_timing(
+            &plan,
+            &costs,
+            &bounds,
+            &unit_keys,
+            n_layers,
+            &vec![0; n],
+            &[TierSpec::unbounded()],
+            0,
+            0.0,
+            0.0,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+
+        // The plan's own transfer ops, in plan order, with their steps.
+        let (mut plan_outs, mut plan_ins) = (Vec::new(), Vec::new());
+        let mut last_forward = None;
+        for (i, op) in plan.ops.iter().enumerate() {
+            match op.kind {
+                OpKind::Forward => last_forward = Some(op.block),
+                OpKind::SwapOut => {
+                    plan_outs.push((op.block, last_forward.expect("Sout after a forward")))
+                }
+                OpKind::SwapIn => {
+                    let next_compute = plan.ops[i + 1..]
+                        .iter()
+                        .find(|o| matches!(o.kind, OpKind::Backward | OpKind::Recompute))
+                        .expect("Sin before a backward");
+                    plan_ins.push((op.block, next_compute.block));
+                }
+                _ => {}
+            }
+        }
+        let program = |event| -> Vec<(usize, usize)> {
+            let of_kind = timing.transfers.iter().filter(|t| t.event == event);
+            of_kind.map(|t| (t.block, t.step)).collect()
+        };
+        assert_eq!(program(ExecEvent::SwapOut), plan_outs, "{name}: swap-outs");
+        assert_eq!(program(ExecEvent::SwapIn), plan_ins, "{name}: swap-ins");
+        swaps += plan_outs.len();
+
+        // Riding vs moving alone, against the lowered boundary schedule.
+        let sched = lower_to_runtime(&plan).unwrap();
+        let interior = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers) - bounds[b] - 1;
+        let (mut carried_out, mut carried_in) = (Vec::new(), Vec::new());
+        for t in &timing.transfers {
+            let (interiors, boundaries, carried) = match t.event {
+                ExecEvent::SwapOut | ExecEvent::BoundaryOut => (
+                    &sched.evict_after,
+                    &sched.boundary_evict_after,
+                    &mut carried_out,
+                ),
+                _ => (
+                    &sched.prefetch_before,
+                    &sched.boundary_fetch_before,
+                    &mut carried_in,
+                ),
+            };
+            let named = boundaries[t.step].contains(&t.block);
+            if matches!(t.event, ExecEvent::SwapOut | ExecEvent::SwapIn) {
+                assert!(interiors[t.step].contains(&t.block), "{name}: {t:?}");
+                assert_eq!(t.bytes as usize, interior(t.block) + usize::from(named));
+                riding += usize::from(named);
+            } else {
+                assert!(
+                    named && !interiors[t.step].contains(&t.block),
+                    "{name}: {t:?}"
+                );
+                assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
+                alone += 1;
+            }
+            if named {
+                carried.push((t.step, t.block));
+            }
+        }
+        // Every scheduled boundary move happens exactly once.
+        let scheduled = |lists: &[Vec<usize>]| -> Vec<(usize, usize)> {
+            let mut moves: Vec<_> = (0..n)
+                .flat_map(|j| lists[j].iter().map(move |&b| (j, b)))
+                .collect();
+            moves.sort_unstable();
+            moves
+        };
+        carried_out.sort_unstable();
+        carried_in.sort_unstable();
+        assert_eq!(
+            carried_out,
+            scheduled(&sched.boundary_evict_after),
+            "{name}"
+        );
+        assert_eq!(
+            carried_in,
+            scheduled(&sched.boundary_fetch_before),
+            "{name}"
+        );
+    }
+    // The grid exercises swaps, riding boundaries and lone ones.
+    assert!(
+        swaps > 0 && riding > 0 && alone > 0,
+        "{swaps} {riding} {alone}"
+    );
+}
