@@ -323,8 +323,8 @@ fn build_executor(
 
 /// Lower a (possibly distributed) `plan` into the executor *and* the
 /// gradient-exchange schedule its `AR`/`U` ops prescribe. Single-GPU
-/// plans (no `AR`/`U`) get the un-merged per-block exchange — the
-/// protocol [`crate::dp::train_data_parallel`] always ran — so the pair
+/// plans (no `AR`/`U`) get the un-merged per-block exchange
+/// ([`crate::dp::ExchangeSchedule::per_block`]) — so the pair
 /// is directly runnable by [`crate::dp::train`] either way.
 pub fn lower_dist_plan(
     plan: &Plan,

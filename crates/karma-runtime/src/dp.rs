@@ -19,10 +19,12 @@
 //! weight update are bit-identical to [`train_reference`] at any
 //! worker×thread count.
 //!
-//! The previous crossbeam-channel transport is kept, verbatim, as the
-//! **channel oracle** ([`train_channel_reference`] /
-//! [`train_churn_channel_reference`]): an independently-implemented
-//! second engine the zero-copy path is pinned against bitwise.
+//! One engine runs every step, with or without injected failures; the
+//! failure-free entry points are [`train`] and [`train_with_buffers`],
+//! and mid-step failures enter only through
+//! [`crate::elastic::ElasticDriver`]'s [`crate::elastic::PoolEvent::Fail`].
+//! Each mode has one sequential bitwise oracle: [`train_reference`]
+//! without failures, [`train_churn_reference`] with a [`FaultPlan`].
 //!
 //! The group shapes come from `karma_net::PhasedExchange` (MG-WFBP
 //! merging) via the plan→runtime bridge, or from the [`ExchangeSchedule`]
@@ -30,7 +32,6 @@
 //! original one-message-per-block protocol, [`ExchangeSchedule::bulk`]
 //! the naive single-AllReduce baseline).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use karma_tensor::layers::ParamGrads;
 use karma_tensor::{Gradients, Sequential, SyntheticDataset, Tensor};
 use serde::{Deserialize, Serialize};
@@ -73,8 +74,8 @@ impl ExchangeSchedule {
         ExchangeSchedule { groups, n_blocks }
     }
 
-    /// One group per block — the fully eager, un-merged protocol (what
-    /// [`train_data_parallel`] runs).
+    /// One group per block — the fully eager, un-merged protocol (one
+    /// message per block).
     pub fn per_block(n_blocks: usize) -> Self {
         ExchangeSchedule::new((0..n_blocks).rev().map(|b| vec![b]).collect(), n_blocks)
     }
@@ -147,7 +148,7 @@ struct GroupBuffer {
 
 /// Pre-registered zero-copy aggregation buffers for one
 /// [`ExchangeSchedule`] — the shared-memory transport [`train`] and
-/// [`train_churn`] fold gradients through.
+/// [`crate::elastic::ElasticDriver`] fold gradients through.
 ///
 /// **Buffer lifecycle.** Registered once per lowered (executor, exchange)
 /// pair — the spans and sizes depend only on the schedule and the net's
@@ -437,16 +438,15 @@ pub struct DataParallelReport {
     pub peak_tier_bytes: Vec<usize>,
     /// Gradient-exchange messages (one per group per worker per step).
     pub exchange_messages: usize,
-    /// Total gradient payload shipped worker→aggregator, across workers
-    /// and steps.
+    /// Total gradient payload folded into the shared group buffers,
+    /// across workers and steps.
     pub exchanged_bytes: usize,
     /// Payload bytes of one worker's message per group, in launch order
     /// (identical for every worker and step: replicas share shapes).
     pub group_bytes: Vec<usize>,
     /// Measured wall-clock instant each group's first contribution landed
     /// in its buffer (seconds from the step start), per group in launch
-    /// order, for the **last executed step**. Empty on the channel
-    /// oracle, which records no timing.
+    /// order, for the **last executed step**.
     pub group_ship_s: Vec<f64>,
     /// Measured instant each group's average was published (last fold +
     /// scale), same epoch and order as `group_ship_s`.
@@ -475,8 +475,24 @@ pub struct WorkerFailure {
     pub groups_shipped: usize,
 }
 
-/// A static schedule of per-worker, per-step failures — the
-/// fault-injection hook of [`train_churn`].
+/// A static schedule of per-worker, per-step failures — what
+/// [`crate::elastic::ElasticDriver`] builds from its
+/// [`crate::elastic::PoolEvent::Fail`] events, and what
+/// [`train_churn_reference`] replays sequentially.
+///
+/// **The complete-or-abort rule.** When worker `r` dies at step `s` after
+/// shipping `k` groups, every exchange group decides its aggregation from
+/// the plan, not from message timing: group `g` **completes with** `r`'s
+/// contribution iff `r` shipped it before dying (`g < k`); otherwise the
+/// group **aborts to survivor-only averaging** — it averages over exactly
+/// the workers whose contribution was scheduled to arrive, in ascending
+/// rank order, divided by that count. Survivors install identical
+/// averages either way, so they end the step bit-identical at any thread
+/// count. After the step the dead replicas leave the pool and the
+/// survivors renumber contiguously in rank order (deterministic
+/// contiguous re-sharding); the next step's window shards over the
+/// shrunken pool. A step must keep at least one survivor. Ranks refer to
+/// the pool *at the failure's step*.
 ///
 /// The plan being static is what makes mid-exchange failure handling
 /// deterministic: every participant (and the sequential reference)
@@ -491,8 +507,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no failures, [`train_churn`] degenerates to
-    /// [`train`].
+    /// The empty plan: no failures, the run is plain [`train`].
     pub fn none() -> Self {
         FaultPlan::default()
     }
@@ -537,8 +552,9 @@ impl FaultPlan {
     }
 }
 
-/// The batch-window slice of one [`train_churn`] call: where in the
-/// dataset it starts and how it shards.
+/// The batch-window slice of one [`train_with_buffers`] or
+/// [`train_churn_reference`] call: where in the dataset it starts and how
+/// it shards.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnConfig {
     /// Sample offset of the first step's global batch (the data cursor a
@@ -552,57 +568,27 @@ pub struct ChurnConfig {
     pub steps: usize,
 }
 
-/// Outcome of a fault-injected data-parallel run ([`train_churn`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChurnReport {
-    /// Mean participant loss per step (dying workers' shard losses count:
-    /// they computed them before dying).
-    pub losses: Vec<f32>,
+/// Outcome of a fault-injected data-parallel run ([`train_churn`]): the
+/// plain run's report plus what only churn produces.
+#[derive(Debug)]
+pub(crate) struct ChurnReport {
+    /// Losses, snapshot, traffic and timing, as for a failure-free run.
+    /// Losses are mean *participant* losses (dying workers' shard losses
+    /// count: they computed them before dying); traffic counts only what
+    /// was actually shipped.
+    pub(crate) dp: DataParallelReport,
     /// Pool size at each step's start.
-    pub pool_sizes: Vec<usize>,
-    /// Final parameters (identical across surviving replicas).
-    pub final_snapshot: Vec<f32>,
-    /// Aggregate swap traffic across workers and steps.
-    pub swapped_bytes: usize,
-    /// Aggregate recomputed layers across workers and steps.
-    pub recomputed_layers: usize,
-    /// Highest per-worker near-memory residency (see
-    /// [`DataParallelReport::peak_near_bytes`]).
-    pub peak_near_bytes: usize,
-    /// Highest per-worker residency per far-memory tier (see
-    /// [`DataParallelReport::peak_tier_bytes`]).
-    pub peak_tier_bytes: Vec<usize>,
-    /// Gradient-exchange messages actually shipped (a dying worker's
-    /// unsent groups are missing from this count).
-    pub exchange_messages: usize,
-    /// Total gradient payload shipped worker→aggregator.
-    pub exchanged_bytes: usize,
-    /// Payload bytes of one worker's message per group, in launch order.
-    pub group_bytes: Vec<usize>,
+    pub(crate) pool_sizes: Vec<usize>,
     /// Exchange groups that lost a scheduled contribution and fell back
     /// to survivor-only averaging (one count per missing contribution).
-    pub aborted_groups: usize,
+    pub(crate) aborted_groups: usize,
     /// Exchange groups that kept a dying worker's already-shipped
     /// contribution (one count per kept contribution).
-    pub completed_with_dead: usize,
+    pub(crate) completed_with_dead: usize,
     /// Samples the run consumed (dying workers' shards included — their
     /// microbatches are lost to the failure, as in a real run).
-    pub samples_consumed: usize,
-    /// Measured per-group first-contribution instants of the last
-    /// executed step (see [`DataParallelReport::group_ship_s`]).
-    pub group_ship_s: Vec<f64>,
-    /// Measured per-group average-published instants of the last
-    /// executed step (see [`DataParallelReport::group_ready_s`]).
-    pub group_ready_s: Vec<f64>,
-    /// Latest backward completion across workers, last executed step
-    /// (seconds from the step start).
-    pub backward_done_s: f64,
-    /// Wall time of the last executed step (seconds).
-    pub step_wall_s: f64,
+    pub(crate) samples_consumed: usize,
 }
-
-type GroupMsg = (usize, usize, Vec<ParamGrads>); // (rank, group, grads)
-type ReplyChannel = (Sender<Vec<ParamGrads>>, Receiver<Vec<ParamGrads>>);
 
 /// Layer span `[start, end)` covered by `group` (contiguous descending
 /// blocks ⇒ contiguous layers from the gate's first to the lead's last).
@@ -685,76 +671,9 @@ pub fn train_with_buffers(
     data: &SyntheticDataset,
     cfg: &ChurnConfig,
 ) -> DataParallelReport {
-    let (report, dead) = run_churn(nets, exec, xchg, bufs, data, cfg, &FaultPlan::none());
+    let (report, dead) = train_churn(nets, exec, xchg, bufs, data, cfg, &FaultPlan::none());
     debug_assert!(dead.is_empty(), "empty fault plan killed a worker");
-    DataParallelReport {
-        losses: report.losses,
-        final_snapshot: report.final_snapshot,
-        swapped_bytes: report.swapped_bytes,
-        recomputed_layers: report.recomputed_layers,
-        peak_near_bytes: report.peak_near_bytes,
-        peak_tier_bytes: report.peak_tier_bytes,
-        exchange_messages: report.exchange_messages,
-        exchanged_bytes: report.exchanged_bytes,
-        group_bytes: report.group_bytes,
-        group_ship_s: report.group_ship_s,
-        group_ready_s: report.group_ready_s,
-        backward_done_s: report.backward_done_s,
-        step_wall_s: report.step_wall_s,
-    }
-}
-
-/// [`train`] with mid-step worker failures injected from a static
-/// [`FaultPlan`] — the churn-safe phased exchange.
-///
-/// **The complete-or-abort rule.** When worker `r` dies at step `s` after
-/// shipping `k` groups, every exchange group decides its aggregation from
-/// the plan, not from message timing: group `g` **completes with** `r`'s
-/// contribution iff `r` shipped it before dying (`g < k`); otherwise the
-/// group **aborts to survivor-only averaging** — it averages over exactly
-/// the workers whose contribution was scheduled to arrive, in ascending
-/// rank order, divided by that count. Survivors install identical
-/// averages either way, so they end the step bit-identical at any thread
-/// count (asserted); the sequential emulation of the same rule is
-/// [`train_churn_reference`].
-///
-/// After the step, dead replicas are removed from `nets` and the
-/// survivors renumber contiguously in rank order (deterministic
-/// contiguous re-sharding); the next step's window shards over the
-/// shrunken pool. A step must keep at least one survivor. Ranks in the
-/// plan refer to the pool *at the failure's step*.
-pub fn train_churn(
-    nets: &mut Vec<Sequential>,
-    exec: &OocExecutor,
-    xchg: &ExchangeSchedule,
-    data: &SyntheticDataset,
-    cfg: &ChurnConfig,
-    faults: &FaultPlan,
-) -> ChurnReport {
-    assert!(!nets.is_empty(), "need at least one worker");
-    let bufs = ExchangeBuffers::register(xchg, exec.boundaries(), nets[0].len());
-    train_churn_with_buffers(nets, exec, xchg, &bufs, data, cfg, faults)
-}
-
-/// [`train_churn`] over caller-registered [`ExchangeBuffers`] (see
-/// [`train_with_buffers`]). The fault-injected path rides the exact same
-/// buffers: a dying worker's shipped groups fold normally, its unshipped
-/// groups are simply never expected (the static contributor table sets
-/// each slot's count up front).
-pub fn train_churn_with_buffers(
-    nets: &mut Vec<Sequential>,
-    exec: &OocExecutor,
-    xchg: &ExchangeSchedule,
-    bufs: &ExchangeBuffers,
-    data: &SyntheticDataset,
-    cfg: &ChurnConfig,
-    faults: &FaultPlan,
-) -> ChurnReport {
-    let (report, dead) = run_churn(nets, exec, xchg, bufs, data, cfg, faults);
-    for &i in dead.iter().rev() {
-        nets.remove(i);
-    }
-    report
+    report.dp
 }
 
 /// One worker's step outcome: loss, averaged gradients (`None` for a
@@ -762,13 +681,21 @@ pub fn train_churn_with_buffers(
 /// worker's backward-completion instant.
 type WorkerStep = (f32, Option<Gradients>, OocStats, f64);
 
-/// The engine behind [`train`] and [`train_churn`]: the zero-copy phased
-/// exchange over the alive subset of `nets`, applying scheduled failures.
-/// Workers fold group gradients in place into `bufs` under the
-/// ascending-rank sequencing rule (see [`ExchangeBuffers`]); no
-/// aggregator thread, no message copies. Returns the report plus the
-/// indices of dead replicas (ascending) for the caller to drop.
-fn run_churn(
+/// The one data-parallel engine: the zero-copy phased exchange over the
+/// alive subset of `nets`, with mid-step failures injected from a static
+/// [`FaultPlan`] under its complete-or-abort rule. Workers fold group
+/// gradients in place into `bufs` under the ascending-rank sequencing
+/// rule (see [`ExchangeBuffers`]); no aggregator thread, no message
+/// copies. A dying worker's shipped groups fold normally, its unshipped
+/// groups are simply never expected (the static contributor table sets
+/// each slot's count up front).
+///
+/// [`train_with_buffers`] runs it with an empty plan;
+/// [`crate::elastic::ElasticDriver::run`] injects its
+/// [`crate::elastic::PoolEvent::Fail`]s through it. Returns the report
+/// plus the indices of dead replicas (ascending) for the caller to drop;
+/// the sequential emulation of the same rule is [`train_churn_reference`].
+pub(crate) fn train_churn(
     nets: &mut [Sequential],
     exec: &OocExecutor,
     xchg: &ExchangeSchedule,
@@ -1004,372 +931,33 @@ fn run_churn(
         );
     }
     let report = ChurnReport {
-        losses,
-        pool_sizes,
-        final_snapshot,
-        swapped_bytes: swapped,
-        recomputed_layers: recomputed,
-        peak_near_bytes: peak_near,
-        peak_tier_bytes: peak_tier,
-        exchange_messages: messages,
-        exchanged_bytes: shipped,
-        group_bytes,
-        aborted_groups: aborted,
-        group_ship_s: last_ship,
-        group_ready_s: last_ready,
-        backward_done_s: last_bwd_done,
-        step_wall_s: last_step_wall,
-        completed_with_dead,
-        samples_consumed: offset - cfg.offset,
-    };
-    (report, dead)
-}
-
-/// The kept crossbeam-channel transport, as a **bitwise oracle** for the
-/// zero-copy path: an independently-implemented engine (aggregator
-/// thread, per-rank message buckets, reply channels) whose averaging
-/// arithmetic is identical. [`train`] must produce exactly this
-/// function's weights, losses, and traffic counts for any schedule,
-/// worker count, or thread count. Records no exchange timing (its timing
-/// fields are empty).
-pub fn train_channel_reference(
-    nets: &mut [Sequential],
-    exec: &OocExecutor,
-    xchg: &ExchangeSchedule,
-    data: &SyntheticDataset,
-    per_worker: usize,
-    lr: f32,
-    steps: usize,
-) -> DataParallelReport {
-    let cfg = ChurnConfig {
-        offset: 0,
-        per_worker,
-        lr,
-        steps,
-    };
-    let (report, dead) = run_churn_channels(nets, exec, xchg, data, &cfg, &FaultPlan::none());
-    debug_assert!(dead.is_empty(), "empty fault plan killed a worker");
-    DataParallelReport {
-        losses: report.losses,
-        final_snapshot: report.final_snapshot,
-        swapped_bytes: report.swapped_bytes,
-        recomputed_layers: report.recomputed_layers,
-        peak_near_bytes: report.peak_near_bytes,
-        peak_tier_bytes: report.peak_tier_bytes,
-        exchange_messages: report.exchange_messages,
-        exchanged_bytes: report.exchanged_bytes,
-        group_bytes: report.group_bytes,
-        group_ship_s: report.group_ship_s,
-        group_ready_s: report.group_ready_s,
-        backward_done_s: report.backward_done_s,
-        step_wall_s: report.step_wall_s,
-    }
-}
-
-/// [`train_channel_reference`] with fault injection — the channel oracle
-/// for [`train_churn`]'s complete-or-abort rule.
-pub fn train_churn_channel_reference(
-    nets: &mut Vec<Sequential>,
-    exec: &OocExecutor,
-    xchg: &ExchangeSchedule,
-    data: &SyntheticDataset,
-    cfg: &ChurnConfig,
-    faults: &FaultPlan,
-) -> ChurnReport {
-    let (report, dead) = run_churn_channels(nets, exec, xchg, data, cfg, faults);
-    for &i in dead.iter().rev() {
-        nets.remove(i);
-    }
-    report
-}
-
-/// The channel-transport engine behind the oracle entry points: runs the
-/// phased exchange through an aggregator thread and crossbeam channels —
-/// the pre-zero-copy implementation, kept verbatim for cross-checking.
-fn run_churn_channels(
-    nets: &mut [Sequential],
-    exec: &OocExecutor,
-    xchg: &ExchangeSchedule,
-    data: &SyntheticDataset,
-    cfg: &ChurnConfig,
-    faults: &FaultPlan,
-) -> (ChurnReport, Vec<usize>) {
-    assert!(!nets.is_empty(), "need at least one worker");
-    assert_eq!(
-        xchg.n_blocks(),
-        exec.n_blocks(),
-        "exchange schedule / executor block mismatch"
-    );
-    let first = nets[0].snapshot();
-    for n in nets.iter() {
-        assert_eq!(n.snapshot(), first, "replicas must start identical");
-    }
-    let (per_worker, lr) = (cfg.per_worker, cfg.lr);
-
-    let n_groups = xchg.n_groups();
-    let n_layers = nets[0].len();
-    let boundaries = exec.boundaries().to_vec();
-    // Per-block lookup: which group, and is this block its group's gate?
-    let mut group_of = vec![0usize; exec.n_blocks()];
-    let mut is_gate = vec![false; exec.n_blocks()];
-    for (g, blocks) in xchg.groups().iter().enumerate() {
-        for &b in blocks {
-            group_of[b] = g;
-        }
-        is_gate[xchg.gate(g)] = true;
-    }
-
-    // Alive replicas, as indices into `nets`; rank = position here.
-    let mut alive: Vec<usize> = (0..nets.len()).collect();
-    let mut dead: Vec<usize> = Vec::new();
-
-    let mut losses = Vec::with_capacity(cfg.steps);
-    let mut pool_sizes = Vec::with_capacity(cfg.steps);
-    let mut swapped = 0usize;
-    let mut recomputed = 0usize;
-    let mut peak_near = 0usize;
-    let mut peak_tier = vec![0usize; exec.tiers().len()];
-    let mut messages = 0usize;
-    let mut shipped = 0usize;
-    let mut group_bytes = vec![0usize; n_groups];
-    let mut aborted = 0usize;
-    let mut completed_with_dead = 0usize;
-    let mut offset = cfg.offset;
-
-    for step in 0..cfg.steps {
-        let workers = alive.len();
-        let start = offset;
-        assert!(
-            start + per_worker * workers <= data.len(),
-            "dataset too small: need {} samples",
-            start + per_worker * workers
-        );
-
-        // Who dies this step, and after how many shipped groups. All
-        // complete-or-abort decisions derive from this static table.
-        let dying_at = faults.at_step(step);
-        for &(rank, _) in &dying_at {
-            assert!(rank < workers, "failure rank {rank} outside pool {workers}");
-        }
-        assert!(
-            dying_at.len() < workers,
-            "a step must keep at least one survivor"
-        );
-        let mut death_after: Vec<Option<usize>> = vec![None; workers];
-        for &(rank, k) in &dying_at {
-            death_after[rank] = Some(k.min(n_groups));
-        }
-        // Group g's scheduled contributors: survivors always, a dying
-        // worker only for the groups it ships before the failure.
-        let contributors: Vec<Vec<usize>> = (0..n_groups)
-            .map(|g| {
-                (0..workers)
-                    .filter(|&r| death_after[r].is_none_or(|k| g < k))
-                    .collect()
-            })
-            .collect();
-        let expected_msgs: usize = contributors.iter().map(Vec::len).sum();
-        for &(_, k) in &dying_at {
-            let k = k.min(n_groups);
-            completed_with_dead += k;
-            aborted += n_groups - k;
-        }
-
-        // Channels: workers -> aggregator, aggregator -> each worker.
-        let (to_agg, from_workers): (Sender<GroupMsg>, Receiver<GroupMsg>) = unbounded();
-        let replies: Vec<ReplyChannel> = (0..workers).map(|_| unbounded()).collect();
-        let reply_senders: Vec<Sender<Vec<ParamGrads>>> =
-            replies.iter().map(|(s, _)| s.clone()).collect();
-
-        // Survivors carry averaged gradients out; dying workers only a
-        // loss and stats (their update never happens).
-        let mut step_results: Vec<Option<(f32, Option<Gradients>, OocStats)>> =
-            (0..workers).map(|_| None).collect();
-
-        let agg_messages = &mut messages;
-        let agg_shipped = &mut shipped;
-        let agg_group_bytes = &mut group_bytes;
-        std::thread::scope(|scope| {
-            // Aggregator: groups complete in launch order (each worker
-            // ships them in order), but messages from different workers
-            // interleave freely — bucket until a group's scheduled
-            // contributors all arrived, average in fixed rank order
-            // (deterministic), reply to the survivors. This runs while
-            // workers are still in their backward phase: the overlap the
-            // phased exchange is for.
-            let (contributors, death_after) = (&contributors, &death_after);
-            scope.spawn(move || {
-                let mut buckets: Vec<Vec<Option<Vec<ParamGrads>>>> =
-                    vec![vec![None; workers]; n_groups];
-                let mut next = 0usize;
-                for _ in 0..expected_msgs {
-                    let (rank, g, payload) = from_workers.recv().expect("worker died");
-                    *agg_messages += 1;
-                    let bytes: usize = payload
-                        .iter()
-                        .flat_map(|pg| pg.grads.iter())
-                        .map(Tensor::bytes)
-                        .sum();
-                    *agg_shipped += bytes;
-                    agg_group_bytes[g] = bytes;
-                    let prev = buckets[g][rank].replace(payload);
-                    assert!(prev.is_none(), "duplicate message for group {g}");
-                    while next < n_groups
-                        && contributors[next]
-                            .iter()
-                            .all(|&r| buckets[next][r].is_some())
-                    {
-                        // Average over the scheduled contributors in fixed
-                        // rank order (flatten over the rank-indexed bucket
-                        // row preserves it).
-                        let mut ranked = std::mem::take(&mut buckets[next]).into_iter().flatten();
-                        let mut acc = ranked.next().expect("groups have a contributor");
-                        for other in ranked {
-                            for (a, b) in acc.iter_mut().zip(&other) {
-                                for (ta, tb) in a.grads.iter_mut().zip(&b.grads) {
-                                    ta.axpy(1.0, tb);
-                                }
-                            }
-                        }
-                        for pg in &mut acc {
-                            for t in &mut pg.grads {
-                                t.scale(1.0 / contributors[next].len() as f32);
-                            }
-                        }
-                        for (r, s) in reply_senders.iter().enumerate() {
-                            if death_after[r].is_none() {
-                                s.send(acc.clone()).expect("worker died");
-                            }
-                        }
-                        next += 1;
-                    }
-                }
-            });
-
-            // Workers.
-            let nets_view: &[Sequential] = nets;
-            for (rank, result) in step_results.iter_mut().enumerate() {
-                let net = &nets_view[alive[rank]];
-                let to_agg = to_agg.clone();
-                let from_agg = replies[rank].1.clone();
-                let (group_of, is_gate) = (&group_of, &is_gate);
-                let (xchg, boundaries) = (&xchg, &boundaries);
-                let my_death = death_after[rank];
-                scope.spawn(move || {
-                    let (x, y): (Tensor, Vec<usize>) = data.shard(start, per_worker, rank);
-                    // Blocks finish backward in descending order, so a
-                    // group's members arrive consecutively: stage them
-                    // and ship at the gate, without waiting for the
-                    // average (it is installed after the step).
-                    let mut staged: Vec<Vec<ParamGrads>> = Vec::new();
-                    let (loss, mut grads, stats) = exec.grad_step(net, &x, &y, |b, block_grads| {
-                        staged.push(block_grads.to_vec());
-                        if is_gate[b] {
-                            // Ascending layer order across the group.
-                            let payload: Vec<ParamGrads> =
-                                staged.drain(..).rev().flatten().collect();
-                            let g = group_of[b];
-                            // A dying worker ships only its first
-                            // `groups_shipped` groups; the rest are lost
-                            // with it (the aggregator never waits for
-                            // them — the fault plan is static).
-                            if my_death.is_none_or(|k| g < k) {
-                                to_agg.send((rank, g, payload)).expect("aggregator died");
-                            }
-                        }
-                    });
-                    if my_death.is_none() {
-                        // Install the averages (arriving in launch order).
-                        for g in 0..xchg.n_groups() {
-                            let avg = from_agg.recv().expect("aggregator died");
-                            let (s, e) = group_span(xchg, g, boundaries, n_layers);
-                            grads.per_layer[s..e].clone_from_slice(&avg);
-                        }
-                        *result = Some((loss, Some(grads), stats));
-                    } else {
-                        // Dead before the update: the loss and the stats
-                        // are real (the shard was computed), the weights
-                        // never advance.
-                        *result = Some((loss, None, stats));
-                    }
-                });
-            }
-        });
-
-        let mut step_loss = 0.0f32;
-        for (rank, result) in step_results.into_iter().enumerate() {
-            let (loss, grads, stats) = result.expect("worker finished");
-            if let Some(grads) = grads {
-                nets[alive[rank]].apply(&grads, lr);
-            }
-            step_loss += loss;
-            swapped += stats.swapped_in_bytes + stats.swapped_out_bytes;
-            recomputed += stats.recomputed_layers;
-            peak_near = peak_near.max(stats.peak_near_bytes);
-            for (p, s) in peak_tier.iter_mut().zip(&stats.peak_tier_bytes) {
-                *p = (*p).max(*s);
-            }
-        }
-        losses.push(step_loss / workers as f32);
-        pool_sizes.push(workers);
-        offset += per_worker * workers;
-
-        // Contiguous re-sharding: drop the dead ranks, survivors keep
-        // their relative order and renumber 0..pool.
-        for &(rank, _) in dying_at.iter().rev() {
-            dead.push(alive.remove(rank));
-        }
-    }
-    dead.sort_unstable();
-
-    let final_snapshot = nets[alive[0]].snapshot();
-    for &i in &alive {
-        assert_eq!(
-            nets[i].snapshot(),
+        dp: DataParallelReport {
+            losses,
             final_snapshot,
-            "replicas diverged — exchange broke determinism"
-        );
-    }
-    let report = ChurnReport {
-        losses,
+            swapped_bytes: swapped,
+            recomputed_layers: recomputed,
+            peak_near_bytes: peak_near,
+            peak_tier_bytes: peak_tier,
+            exchange_messages: messages,
+            exchanged_bytes: shipped,
+            group_bytes,
+            group_ship_s: last_ship,
+            group_ready_s: last_ready,
+            backward_done_s: last_bwd_done,
+            step_wall_s: last_step_wall,
+        },
         pool_sizes,
-        final_snapshot,
-        swapped_bytes: swapped,
-        recomputed_layers: recomputed,
-        peak_near_bytes: peak_near,
-        peak_tier_bytes: peak_tier,
-        exchange_messages: messages,
-        exchanged_bytes: shipped,
-        group_bytes,
         aborted_groups: aborted,
         completed_with_dead,
         samples_consumed: offset - cfg.offset,
-        group_ship_s: Vec::new(),
-        group_ready_s: Vec::new(),
-        backward_done_s: 0.0,
-        step_wall_s: 0.0,
     };
     (report, dead)
-}
-
-/// Train `nets` with the original one-message-per-block protocol — the
-/// un-merged ([`ExchangeSchedule::per_block`]) special case of [`train`].
-pub fn train_data_parallel(
-    nets: &mut [Sequential],
-    exec: &OocExecutor,
-    data: &SyntheticDataset,
-    per_worker: usize,
-    lr: f32,
-    steps: usize,
-) -> DataParallelReport {
-    let xchg = ExchangeSchedule::per_block(exec.n_blocks());
-    train(nets, exec, &xchg, data, per_worker, lr, steps)
 }
 
 /// The sequential single-worker emulation of the same `workers`-shard
 /// data-parallel step: shard gradients are computed one rank at a time
 /// on one thread, accumulated in rank order, and averaged with the exact
-/// float operations the aggregator uses. This is the **bitwise
+/// float operations the shared buffers fold with. This is the **bitwise
 /// reference** for [`train`] — for any worker count, thread count, or
 /// exchange grouping, `train` must leave its replicas at exactly the
 /// weights this function produces (grouping moves messages, never
@@ -1412,14 +1000,14 @@ pub fn train_reference(
     losses
 }
 
-/// The sequential single-worker emulation of [`train_churn`]'s
+/// The sequential single-worker emulation of [`FaultPlan`]'s
 /// complete-or-abort rule — the **bitwise reference** for fault-injected
 /// runs, as [`train_reference`] is for fault-free ones. Starting from a
 /// `pool`-worker pool, each step computes every participant's shard
 /// gradients in rank order on one thread, then averages each exchange
 /// group over exactly the contributors the [`FaultPlan`] schedules
 /// (ascending rank, divided by the contributor count) with the exact
-/// float operations the aggregator uses. `net` plays every surviving
+/// float operations the shared buffers fold with. `net` plays every surviving
 /// replica at once (they stay bit-identical); returns the per-step mean
 /// participant losses.
 ///
@@ -1462,7 +1050,7 @@ pub fn train_churn_reference(
         }
 
         // Per group: average over the scheduled contributors with the
-        // aggregator's float ops (first contributor's payload, axpy the
+        // buffers' float ops (first contributor's payload, axpy the
         // rest in ascending rank order, one scale at the end).
         let mut installed = Gradients {
             per_layer: vec![ParamGrads::default(); n_layers],
@@ -1527,7 +1115,8 @@ mod tests {
         let data = dataset();
         let mut nets = replicas(4);
         let exec = ooc_exec(nets[0].len());
-        let report = train_data_parallel(&mut nets, &exec, &data, 8, 0.05, 6);
+        let xchg = ExchangeSchedule::per_block(3);
+        let report = train(&mut nets, &exec, &xchg, &data, 8, 0.05, 6);
         assert_eq!(report.losses.len(), 6);
         assert!(report.losses.last().unwrap() < report.losses.first().unwrap());
         assert!(report.swapped_bytes > 0);
@@ -1614,7 +1203,8 @@ mod tests {
         let data = dataset();
         let mut nets = replicas(2);
         let exec = ooc_exec(nets[0].len());
-        let report = train_data_parallel(&mut nets, &exec, &data, 8, 0.05, 3);
+        let xchg = ExchangeSchedule::per_block(3);
+        let report = train(&mut nets, &exec, &xchg, &data, 8, 0.05, 3);
 
         let mut single = small_cnn(4, 77);
         for step in 0..3 {
@@ -1639,7 +1229,8 @@ mod tests {
         let data = dataset();
         let mut nets = replicas(1);
         let exec = ooc_exec(nets[0].len());
-        let report = train_data_parallel(&mut nets, &exec, &data, 16, 0.05, 2);
+        let xchg = ExchangeSchedule::per_block(3);
+        let report = train(&mut nets, &exec, &xchg, &data, 16, 0.05, 2);
 
         let mut plain = small_cnn(4, 77);
         for step in 0..2 {
@@ -1658,6 +1249,20 @@ mod tests {
         }
     }
 
+    /// The fault-injected engine over freshly registered buffers: the
+    /// report plus the dead replicas' indices.
+    fn churn(
+        nets: &mut [Sequential],
+        exec: &OocExecutor,
+        xchg: &ExchangeSchedule,
+        data: &SyntheticDataset,
+        cfg: &ChurnConfig,
+        faults: &FaultPlan,
+    ) -> (ChurnReport, Vec<usize>) {
+        let bufs = ExchangeBuffers::register(xchg, exec.boundaries(), nets[0].len());
+        train_churn(nets, exec, xchg, &bufs, data, cfg, faults)
+    }
+
     #[test]
     fn empty_fault_plan_matches_plain_train() {
         let data = dataset();
@@ -1668,7 +1273,7 @@ mod tests {
         let expected = train(&mut plain, &exec, &xchg, &data, 8, 0.05, 3);
 
         let mut nets = replicas(3);
-        let report = train_churn(
+        let (report, dead) = churn(
             &mut nets,
             &exec,
             &xchg,
@@ -1676,12 +1281,12 @@ mod tests {
             &churn_cfg(3),
             &FaultPlan::none(),
         );
-        assert_eq!(report.final_snapshot, expected.final_snapshot);
-        assert_eq!(report.losses, expected.losses);
+        assert_eq!(report.dp.final_snapshot, expected.final_snapshot);
+        assert_eq!(report.dp.losses, expected.losses);
         assert_eq!(report.pool_sizes, vec![3, 3, 3]);
         assert_eq!(report.aborted_groups, 0);
         assert_eq!(report.completed_with_dead, 0);
-        assert_eq!(nets.len(), 3);
+        assert!(dead.is_empty());
     }
 
     #[test]
@@ -1706,15 +1311,15 @@ mod tests {
 
         for _ in 0..2 {
             let mut nets = replicas(4);
-            let report = train_churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
-            assert_eq!(report.final_snapshot, reference.snapshot(), "bit parity");
-            assert_eq!(report.losses, ref_losses);
+            let (report, dead) = churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
+            assert_eq!(report.dp.final_snapshot, reference.snapshot(), "bit parity");
+            assert_eq!(report.dp.losses, ref_losses);
             assert_eq!(report.pool_sizes, vec![4, 4, 3]);
             assert_eq!(report.completed_with_dead, 1);
             assert_eq!(report.aborted_groups, 1);
-            assert_eq!(nets.len(), 3, "dead replica dropped from the pool");
+            assert_eq!(dead, vec![1], "dead replica leaves the pool");
             // One message lost: the dead worker's unshipped group 1.
-            assert_eq!(report.exchange_messages, 2 * 4 + (2 * 4 - 1) + 2 * 3);
+            assert_eq!(report.dp.exchange_messages, 2 * 4 + (2 * 4 - 1) + 2 * 3);
         }
     }
 
@@ -1735,9 +1340,9 @@ mod tests {
             train_churn_reference(&mut reference, &exec, &xchg, &data, &cfg, 2, &faults);
 
         let mut nets = replicas(2);
-        let report = train_churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
-        assert_eq!(report.final_snapshot, reference.snapshot());
-        assert_eq!(report.losses, ref_losses);
+        let (report, _) = churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
+        assert_eq!(report.dp.final_snapshot, reference.snapshot());
+        assert_eq!(report.dp.losses, ref_losses);
         assert_eq!(report.aborted_groups, 3);
         assert_eq!(report.completed_with_dead, 0);
         assert_eq!(report.pool_sizes, vec![2, 1]);
@@ -1762,7 +1367,7 @@ mod tests {
         ]);
         let mut nets = replicas(2);
         let exec = ooc_exec(nets[0].len());
-        train_churn(&mut nets, &exec, &xchg, &data, &churn_cfg(1), &faults);
+        churn(&mut nets, &exec, &xchg, &data, &churn_cfg(1), &faults);
     }
 
     #[test]
@@ -1782,7 +1387,8 @@ mod tests {
         let data = SyntheticDataset::classification(8, 1, 16, 4, 1);
         let mut nets = replicas(2);
         let exec = ooc_exec(nets[0].len());
-        train_data_parallel(&mut nets, &exec, &data, 8, 0.05, 2);
+        let xchg = ExchangeSchedule::per_block(3);
+        train(&mut nets, &exec, &xchg, &data, 8, 0.05, 2);
     }
 
     #[test]

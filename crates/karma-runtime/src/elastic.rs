@@ -3,15 +3,13 @@
 //!
 //! The paper's Sec. II-B argument for out-of-core data parallelism is
 //! that every worker holds a *complete* replica, so the pool can shrink
-//! (or grow) without losing the model. [`crate::fault`] demonstrates the
-//! shrink over the naive per-block protocol; this module runs the full
-//! production recovery story over the real lowered pipeline:
+//! (or grow) without losing the model. This module runs that recovery
+//! story over the real lowered pipeline:
 //!
 //! * **Churn-safe phased exchange** — mid-step failures are injected into
-//!   [`crate::dp::train_churn`] through its static
-//!   [`FaultPlan`], so a worker dying between
-//!   exchange groups resolves deterministically (complete-or-abort rule,
-//!   documented there);
+//!   the data-parallel engine through a static [`FaultPlan`], so a worker
+//!   dying between exchange groups resolves deterministically
+//!   (complete-or-abort rule, documented there);
 //! * **Re-plan on pool change** — whenever the pool shrinks *or grows*,
 //!   [`ElasticDriver`] re-lowers the plan through the existing
 //!   `karma-core` bridge ([`lower_dist_plan`] /
@@ -41,8 +39,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::bridge::{lower_dist_plan, lower_plan_tiered, BridgeError};
 use crate::dp::{
-    train_churn_with_buffers, ChurnConfig, ExchangeBuffers, ExchangeSchedule, FaultPlan,
-    WorkerFailure,
+    train_churn, ChurnConfig, ExchangeBuffers, ExchangeSchedule, FaultPlan, WorkerFailure,
 };
 use crate::exec::OocExecutor;
 use crate::store::{TierSpec, TierStack};
@@ -132,9 +129,8 @@ impl Checkpoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PoolEvent {
     /// Worker `rank` dies mid-step after shipping `groups_shipped`
-    /// exchange groups (the churn-safe path:
-    /// [`crate::dp::train_churn`]'s complete-or-abort rule decides each
-    /// group's averaging).
+    /// exchange groups (the churn-safe path: [`FaultPlan`]'s
+    /// complete-or-abort rule decides each group's averaging).
     Fail {
         /// Step the failure strikes in.
         step: usize,
@@ -143,9 +139,9 @@ pub enum PoolEvent {
         /// Exchange groups shipped before dying.
         groups_shipped: usize,
     },
-    /// Worker `rank` leaves cleanly before `step` runs (the
-    /// between-steps shrink of [`crate::fault`]). Ignored when it would
-    /// empty the pool, matching the legacy recovery semantics.
+    /// Worker `rank` leaves cleanly before `step` runs (a between-steps
+    /// shrink). Ignored when it would empty the pool: the sole survivor
+    /// keeps training.
     Leave {
         /// Step the departure precedes.
         step: usize,
@@ -263,8 +259,8 @@ enum LowerPath {
         /// (`lower_plan_tiered`); `None` lowers single-pool.
         tiered: Option<(Vec<usize>, Vec<TierSpec>)>,
     },
-    /// A fixed pre-built pair: hot swaps reuse it unchanged (the legacy
-    /// [`crate::fault`] path, which never re-plans).
+    /// A fixed pre-built pair: hot swaps reuse it unchanged (never
+    /// re-plans).
     Fixed(OocExecutor, ExchangeSchedule),
 }
 
@@ -439,8 +435,7 @@ impl ElasticDriver {
     }
 
     /// Drive a pre-built executor + exchange schedule with no
-    /// re-planning — pool changes reuse the pair unchanged (the legacy
-    /// [`crate::fault::train_with_failures`] behavior).
+    /// re-planning — pool changes reuse the pair unchanged.
     pub fn fixed(exec: OocExecutor, xchg: ExchangeSchedule) -> Self {
         ElasticDriver {
             path: LowerPath::Fixed(exec, xchg),
@@ -613,7 +608,7 @@ impl ElasticDriver {
                                 pool: nets.len(),
                             });
                         }
-                        // Never shrink below one worker (legacy rule).
+                        // Never shrink below one worker.
                         if nets.len() > 1 {
                             nets.remove(rank);
                             changed = true;
@@ -707,31 +702,34 @@ impl ElasticDriver {
                 steps: phase_steps,
             };
             let faults = FaultPlan::new(fails.clone());
-            let phase = train_churn_with_buffers(nets, &exec, &xchg, &bufs, data, &cfg, &faults);
+            let (phase, dead) = train_churn(nets, &exec, &xchg, &bufs, data, &cfg, &faults);
+            for &i in dead.iter().rev() {
+                nets.remove(i);
+            }
 
             report.phases.push(PhaseInfo {
                 start_step: step,
                 steps: phase_steps,
                 workers: phase.pool_sizes[0],
-                exchange_messages: phase.exchange_messages,
+                exchange_messages: phase.dp.exchange_messages,
                 faulty: !fails.is_empty(),
             });
-            report.losses.extend(phase.losses);
+            report.losses.extend(phase.dp.losses);
             report.pool_sizes.extend(phase.pool_sizes);
             report.aborted_groups += phase.aborted_groups;
             report.completed_with_dead += phase.completed_with_dead;
-            report.exchange_messages += phase.exchange_messages;
-            report.exchanged_bytes += phase.exchanged_bytes;
-            report.peak_near_bytes = report.peak_near_bytes.max(phase.peak_near_bytes);
-            if report.peak_tier_bytes.len() < phase.peak_tier_bytes.len() {
+            report.exchange_messages += phase.dp.exchange_messages;
+            report.exchanged_bytes += phase.dp.exchanged_bytes;
+            report.peak_near_bytes = report.peak_near_bytes.max(phase.dp.peak_near_bytes);
+            if report.peak_tier_bytes.len() < phase.dp.peak_tier_bytes.len() {
                 report
                     .peak_tier_bytes
-                    .resize(phase.peak_tier_bytes.len(), 0);
+                    .resize(phase.dp.peak_tier_bytes.len(), 0);
             }
             for (p, s) in report
                 .peak_tier_bytes
                 .iter_mut()
-                .zip(&phase.peak_tier_bytes)
+                .zip(&phase.dp.peak_tier_bytes)
             {
                 *p = (*p).max(*s);
             }
@@ -1125,5 +1123,54 @@ mod tests {
             .expect("sole survivor keeps training");
         assert_eq!(report.pool_sizes, vec![1, 1]);
         assert_eq!(report.relowers, 0);
+    }
+
+    /// A `workers`-wide run of `steps` steps on the fixed per-block
+    /// protocol, with `events` applied.
+    fn per_block_run(workers: usize, steps: usize, events: Vec<PoolEvent>) -> ElasticReport {
+        let data = dataset();
+        let n_layers = replicas(1)[0].len();
+        let driver = ElasticDriver::fixed(ooc_exec(n_layers), ExchangeSchedule::per_block(3));
+        let mut opts = ElasticOptions::plain(8, 0.05, steps);
+        opts.events = events;
+        driver
+            .run(
+                &mut replicas(workers),
+                None,
+                &data,
+                &opts,
+                &mut far_store(),
+                None,
+            )
+            .expect("leave-only run succeeds")
+    }
+
+    #[test]
+    fn tail_leaves_shrink_the_pool_and_training_continues() {
+        let report = per_block_run(
+            4,
+            6,
+            vec![
+                PoolEvent::Leave { step: 2, rank: 3 },
+                PoolEvent::Leave { step: 4, rank: 2 },
+            ],
+        );
+        assert_eq!(report.pool_sizes, vec![4, 4, 3, 3, 2, 2]);
+        assert_eq!(report.losses.len(), 6);
+        // Still learning across the shrinks.
+        assert!(report.losses.last().unwrap() < report.losses.first().unwrap());
+    }
+
+    #[test]
+    fn head_leave_equals_tail_leave_under_identical_replicas() {
+        // With bit-identical replicas the pool is symmetric: losing rank
+        // 0 and losing rank 3 leave the same survivors after contiguous
+        // renumbering, so training continues bit-identically either way.
+        let head = per_block_run(4, 5, vec![PoolEvent::Leave { step: 2, rank: 0 }]);
+        let tail = per_block_run(4, 5, vec![PoolEvent::Leave { step: 2, rank: 3 }]);
+        assert_eq!(head.pool_sizes, vec![4, 4, 3, 3, 3]);
+        assert_eq!(head.pool_sizes, tail.pool_sizes);
+        assert_eq!(head.final_snapshot, tail.final_snapshot);
+        assert_eq!(head.losses, tail.losses);
     }
 }

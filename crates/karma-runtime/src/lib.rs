@@ -20,8 +20,8 @@
 //!   real threads over zero-copy shared aggregation buffers
 //!   ([`dp::ExchangeBuffers`]): gradients fold in place group-by-group as
 //!   blocks finish backward, overlapping aggregation with the remaining
-//!   backward/swap work (the old channel transport is kept as a bitwise
-//!   oracle);
+//!   backward/swap work, pinned bitwise against sequential single-thread
+//!   oracles ([`dp::train_reference`], [`dp::train_churn_reference`]);
 //! * [`bridge`] — the plan→runtime lowering: a validated `karma-core`
 //!   `Plan` becomes a configured [`exec::OocExecutor`] (policies, eviction
 //!   order, prefetch schedule) plus, for distributed plans, the
@@ -36,7 +36,7 @@
 //!
 //! **Workspace position:** the execution-side top layer over
 //! `karma-tensor`. The parity-critical modules ([`store`], [`exec`],
-//! [`dp`], [`fault`]) stay independent of the analysis stack so parity
+//! [`dp`]) stay independent of the analysis stack so parity
 //! results cannot be contaminated by the models they validate; only
 //! [`bridge`] links `karma-core`, and only to *consume* plans.
 
@@ -44,7 +44,6 @@ pub mod bridge;
 pub mod dp;
 pub mod elastic;
 pub mod exec;
-pub mod fault;
 mod program;
 pub mod store;
 
@@ -55,14 +54,11 @@ pub use bridge::{
     ExchangeReplay, ExchangeTiming, ResidencyReplay, SwapAccounting, SwapTiming, SwapTransfer,
 };
 pub use dp::{
-    train, train_channel_reference, train_churn, train_churn_channel_reference,
-    train_churn_reference, train_churn_with_buffers, train_data_parallel, train_reference,
-    train_with_buffers, ChurnConfig, ChurnReport, DataParallelReport, ExchangeBuffers,
-    ExchangeSchedule, FaultPlan, WorkerFailure,
+    train, train_churn_reference, train_reference, train_with_buffers, ChurnConfig,
+    DataParallelReport, ExchangeBuffers, ExchangeSchedule, FaultPlan, WorkerFailure,
 };
 pub use elastic::{
     Checkpoint, ElasticDriver, ElasticError, ElasticOptions, ElasticReport, PhaseInfo, PoolEvent,
 };
 pub use exec::{BlockPolicy, ExecEvent, OocExecutor, OocStats, ResidencySample};
-pub use fault::{train_with_failures, Failure, FaultReport};
 pub use store::{NearMemory, SlotStore, TierSpec, TierStack};

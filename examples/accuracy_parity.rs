@@ -9,7 +9,7 @@
 //! cargo run --release --example accuracy_parity
 //! ```
 
-use karma::runtime::{train_data_parallel, BlockPolicy, OocExecutor};
+use karma::runtime::{train, BlockPolicy, ExchangeSchedule, OocExecutor};
 use karma::tensor::{small_cnn, SyntheticDataset};
 
 fn main() {
@@ -64,7 +64,8 @@ fn main() {
     // 3) Data-parallel out-of-core: 4 workers, shard 8 each (global batch
     //    32), phased per-block gradient exchange.
     let mut nets: Vec<_> = (0..4).map(|_| small_cnn(4, 99)).collect();
-    let report = train_data_parallel(&mut nets, &exec, &data, 8, lr, steps);
+    let xchg = ExchangeSchedule::per_block(exec.n_blocks());
+    let report = train(&mut nets, &exec, &xchg, &data, 8, lr, steps);
     let dp_acc = {
         // Evaluate with worker 0's weights (all replicas identical).
         nets[0].accuracy(&xt, &yt)

@@ -2,7 +2,7 @@
 //! does not change the computation — checked on *real* training, end to
 //! end across `karma-tensor` and `karma-runtime`.
 
-use karma::runtime::{train_data_parallel, BlockPolicy, OocExecutor};
+use karma::runtime::{train, BlockPolicy, ExchangeSchedule, OocExecutor};
 use karma::tensor::{small_cnn, SyntheticDataset};
 
 fn data() -> SyntheticDataset {
@@ -57,7 +57,8 @@ fn data_parallel_ooc_matches_large_batch_training() {
         usize::MAX / 2,
         nets[0].len(),
     );
-    let report = train_data_parallel(&mut nets, &exec, &data, per_worker, 0.05, steps);
+    let xchg = ExchangeSchedule::per_block(exec.n_blocks());
+    let report = train(&mut nets, &exec, &xchg, &data, per_worker, 0.05, steps);
 
     // Reference: plain large-batch training over the same samples.
     let mut reference = small_cnn(4, 91);

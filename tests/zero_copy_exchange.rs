@@ -1,28 +1,26 @@
 //! Transport parity matrix for the zero-copy gradient exchange.
 //!
-//! `dp::train` now folds group gradients in place into pre-registered
-//! shared buffers (`ExchangeBuffers`) instead of shipping messages to an
-//! aggregator thread. These tests pin the new transport bitwise against
-//! **two independent implementations** of the same arithmetic:
+//! `dp::train` folds group gradients in place into pre-registered shared
+//! buffers (`ExchangeBuffers`). These tests pin that transport against
+//! **two independent oracles**:
 //!
-//! * the sequential single-thread emulation (`train_reference` /
-//!   `train_churn_reference`), across workers ∈ {1, 2, 4} ×
-//!   `KARMA_NUM_THREADS` ∈ {1, 4} × repeated runs;
-//! * the kept crossbeam-channel engine (`train_channel_reference` /
-//!   `train_churn_channel_reference`) — the pre-zero-copy transport,
-//!   preserved verbatim as an oracle: weights, losses, and traffic
-//!   counts must agree exactly, churn included.
+//! * bits: the sequential single-thread emulation (`train_reference` /
+//!   `train_churn_reference`) — weights and losses must agree exactly,
+//!   across workers ∈ {1, 2, 4} × `KARMA_NUM_THREADS` ∈ {1, 4} ×
+//!   repeated runs, churn included;
+//! * traffic: a closed-form count — one message per worker per group per
+//!   step, each group's payload the summed `block_grad_bytes` of its
+//!   blocks (cross-checked with the sized registration).
 //!
 //! Plus the buffer-safety properties: registered group spans never
 //! alias, `ElasticDriver`'s per-pool-size buffer memo is bitwise-neutral
 //! across hot swaps, and a contributor panicking mid-fold poisons the
 //! buffer instead of letting a partial accumulation be observed.
 
-use karma::runtime::dp::train_reference;
+use karma::runtime::bridge::block_grad_bytes;
 use karma::runtime::dp::{
-    train, train_channel_reference, train_churn, train_churn_channel_reference,
-    train_churn_reference, ChurnConfig, ExchangeBuffers, ExchangeSchedule, FaultPlan,
-    WorkerFailure,
+    train, train_churn_reference, train_reference, ChurnConfig, ExchangeBuffers, ExchangeSchedule,
+    FaultPlan, WorkerFailure,
 };
 use karma::runtime::elastic::{ElasticDriver, ElasticOptions, PoolEvent};
 use karma::runtime::exec::{BlockPolicy, OocExecutor};
@@ -57,15 +55,32 @@ fn two_groups() -> ExchangeSchedule {
     ExchangeSchedule::new(vec![vec![2, 1], vec![0]], 3)
 }
 
+/// One worker's payload per group, in launch order: the summed gradient
+/// bytes of the group's blocks. Checked against the sized registration,
+/// which derives the same numbers through `ExchangeBuffers`.
+fn expected_group_bytes(exec: &OocExecutor, xchg: &ExchangeSchedule) -> Vec<usize> {
+    let net = small_cnn(4, 77);
+    let per_block = block_grad_bytes(&net, exec.boundaries());
+    let per_group: Vec<u64> = xchg
+        .groups()
+        .iter()
+        .map(|blocks| blocks.iter().map(|&b| per_block[b]).sum())
+        .collect();
+    let sized = ExchangeBuffers::register_sized(xchg, exec.boundaries(), net.len(), &per_block);
+    assert_eq!(sized.registered_group_bytes(), Some(per_group.clone()));
+    per_group.into_iter().map(|b| b as usize).collect()
+}
+
 #[test]
 fn zero_copy_matches_both_oracles_across_the_matrix() {
     let data = dataset();
     let (per_worker, steps) = (8usize, 3usize);
     let xchg = two_groups();
+    let exec = ooc_exec(replicas(1)[0].len());
+    let group_bytes = expected_group_bytes(&exec, &xchg);
+    let step_bytes: usize = group_bytes.iter().sum();
     for workers in [1usize, 2, 4] {
-        let exec = ooc_exec(replicas(1)[0].len());
-
-        // Oracle 1: the sequential single-thread emulation.
+        // The sequential single-thread emulation.
         let mut reference = small_cnn(4, 77);
         let ref_losses = train_reference(
             &mut reference,
@@ -78,20 +93,6 @@ fn zero_copy_matches_both_oracles_across_the_matrix() {
         );
         let expected = reference.snapshot();
 
-        // Oracle 2: the kept channel transport (thread-count independent
-        // itself, so one run suffices per worker count).
-        let mut channel_nets = replicas(workers);
-        let channel = train_channel_reference(
-            &mut channel_nets,
-            &exec,
-            &xchg,
-            &data,
-            per_worker,
-            0.05,
-            steps,
-        );
-        assert_eq!(channel.final_snapshot, expected, "channel oracle drifted");
-
         for threads in [1usize, 4] {
             rayon::set_num_threads(threads);
             for repeat in 0..2 {
@@ -102,11 +103,11 @@ fn zero_copy_matches_both_oracles_across_the_matrix() {
                     "{workers}w × {threads}t, repeat {repeat}: diverged from reference"
                 );
                 assert_eq!(report.losses, ref_losses);
-                // Traffic must equal the channel engine's message for
-                // message: the transport moved, the protocol did not.
-                assert_eq!(report.exchange_messages, channel.exchange_messages);
-                assert_eq!(report.exchanged_bytes, channel.exchanged_bytes);
-                assert_eq!(report.group_bytes, channel.group_bytes);
+                // Traffic: one message per worker per group per step,
+                // each the group's registered payload.
+                assert_eq!(report.exchange_messages, workers * xchg.n_groups() * steps);
+                assert_eq!(report.group_bytes, group_bytes);
+                assert_eq!(report.exchanged_bytes, workers * steps * step_bytes);
                 // The zero-copy path records real exchange timing.
                 assert_eq!(report.group_ship_s.len(), xchg.n_groups());
                 assert_eq!(report.group_ready_s.len(), xchg.n_groups());
@@ -121,7 +122,7 @@ fn zero_copy_matches_both_oracles_across_the_matrix() {
 fn churn_matches_both_oracles_bitwise() {
     // Worker 1 of 4 dies mid-exchange (after group 0 of 2): group 0
     // completes with its contribution, group 1 aborts to survivor-only
-    // averaging. All three engines must agree bit for bit.
+    // averaging. The engine must land on the sequential reference's bits.
     let data = dataset();
     let xchg = two_groups();
     let faults = FaultPlan::new(vec![WorkerFailure {
@@ -136,32 +137,44 @@ fn churn_matches_both_oracles_bitwise() {
         steps: 3,
     };
     let exec = ooc_exec(replicas(1)[0].len());
+    let group_bytes = expected_group_bytes(&exec, &xchg);
 
     let mut reference = small_cnn(4, 77);
     let ref_losses = train_churn_reference(&mut reference, &exec, &xchg, &data, &cfg, 4, &faults);
 
-    let mut channel_nets = replicas(4);
-    let channel =
-        train_churn_channel_reference(&mut channel_nets, &exec, &xchg, &data, &cfg, &faults);
-    assert_eq!(channel.final_snapshot, reference.snapshot());
-    assert_eq!(channel.losses, ref_losses);
-
+    let driver = ElasticDriver::fixed(exec, xchg);
+    let mut opts = ElasticOptions::plain(cfg.per_worker, cfg.lr, cfg.steps);
+    opts.events = vec![PoolEvent::Fail {
+        step: 1,
+        rank: 1,
+        groups_shipped: 1,
+    }];
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
         for repeat in 0..2 {
             let mut nets = replicas(4);
-            let report = train_churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
+            let mut store = TierStack::new(&[TierSpec::unbounded()]);
+            let report = driver
+                .run(&mut nets, None, &data, &opts, &mut store, None)
+                .expect("churn run succeeds");
             assert_eq!(
                 report.final_snapshot,
                 reference.snapshot(),
                 "{threads}t repeat {repeat}: churn parity broke"
             );
             assert_eq!(report.losses, ref_losses);
-            assert_eq!(report.exchange_messages, channel.exchange_messages);
-            assert_eq!(report.exchanged_bytes, channel.exchanged_bytes);
             assert_eq!(report.completed_with_dead, 1);
             assert_eq!(report.aborted_groups, 1);
             assert_eq!(nets.len(), 3, "dead replica dropped");
+            // Steps 0-2 ship 8, 7 (the dead worker's group 1 is lost) and
+            // 6 messages.
+            assert_eq!(report.exchange_messages, 8 + 7 + 6);
+            assert_eq!(
+                report.exchanged_bytes,
+                4 * group_bytes[0] + 4 * group_bytes[1] // step 0
+                    + 4 * group_bytes[0] + 3 * group_bytes[1] // step 1
+                    + 3 * group_bytes[0] + 3 * group_bytes[1] // step 2
+            );
         }
         rayon::set_num_threads(0);
     }
