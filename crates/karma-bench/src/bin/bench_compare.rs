@@ -3,10 +3,10 @@
 //!
 //! Usage: `bench_compare <committed.json> <fresh.json> [--max-slowdown F]`
 //!
-//! `F` is the tolerated optimized/baseline wall-time-ratio regression as a
-//! fraction (default 0.25 = 25%). See `karma_bench::compare` for the
-//! normalization rules (machine speed cancels in the ratio; thread-count
-//! differences only make the gate lenient; configs must match).
+//! `F` is the tolerated growth of each column's wall-time ratio to its
+//! model's `baseline`, as a fraction (default 0.25 = 25%). The gate rules
+//! are described once, in `karma_bench::compare`. Exits 1 on a
+//! regression, 2 on a malformed command line.
 
 use karma_bench::compare::{compare_reports, DEFAULT_MAX_SLOWDOWN};
 use karma_bench::report::BenchReport;
@@ -18,23 +18,29 @@ fn load(path: &str) -> BenchReport {
         .unwrap_or_else(|e| panic!("bench_compare: {path} is not a bench report: {e:?}"))
 }
 
+fn usage() -> ! {
+    eprintln!("usage: bench_compare <committed.json> <fresh.json> [--max-slowdown F]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_slowdown = args
-        .iter()
-        .position(|a| a == "--max-slowdown")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<f64>().expect("--max-slowdown takes a fraction"))
-        .unwrap_or(DEFAULT_MAX_SLOWDOWN);
-    let paths: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--max-slowdown"))
-        .map(|(_, a)| a)
-        .collect();
+    let mut max_slowdown = DEFAULT_MAX_SLOWDOWN;
+    let mut paths = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--max-slowdown" {
+            max_slowdown = args
+                .next()
+                .and_then(|v| v.parse::<f64>().ok())
+                .unwrap_or_else(|| usage());
+        } else if arg.starts_with("--") {
+            usage();
+        } else {
+            paths.push(arg);
+        }
+    }
     let [committed, fresh] = paths.as_slice() else {
-        eprintln!("usage: bench_compare <committed.json> <fresh.json> [--max-slowdown F]");
-        std::process::exit(2);
+        usage();
     };
 
     let outcome = compare_reports(&load(committed), &load(fresh), max_slowdown);

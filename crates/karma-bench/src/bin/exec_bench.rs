@@ -75,13 +75,14 @@ use karma_bench::report::{BenchEntry, BenchReport, ModelSpeedup};
 use karma_core::capacity::{build_training_plan, CapacityPlanOptions};
 use karma_core::cost::LayerCostTable;
 use karma_core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma_core::Plan;
 use karma_dist::{append_exchange_ops, zero_effective_capacity};
 use karma_graph::{MemoryParams, ModelGraph};
 use karma_hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 use karma_net::{AllReduceAlgo, AllReduceModel, PhasedExchange};
 use karma_runtime::bridge::{
     block_grad_bytes, expected_exchange, expected_residency, expected_residency_tiered,
-    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered,
+    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered, ResidencyReplay,
 };
 use karma_runtime::dp::train;
 use karma_runtime::elastic::{ElasticDriver, ElasticOptions, PoolEvent};
@@ -91,24 +92,89 @@ use karma_tensor::{
     conv_stack, mlp_stack, small_resnet_style, Sequential, SyntheticDataset, Tensor,
 };
 
-/// Median wall-clock milliseconds of `runs` gradient steps (one warm-up).
-fn time_steps(
-    exec: &OocExecutor,
+/// A planner plan bridged to the executable net.
+struct Bridged {
+    plan: Plan,
+    /// Net-space block boundaries.
+    bounds: Vec<usize>,
+    /// Bytes of every layer's output activation on the planned input.
+    key_bytes: Vec<usize>,
+    /// The plan's modeled residency on those activations.
+    replay: ResidencyReplay,
+}
+
+/// Steps 1-5 and the bridge: profile `graph` at `batch` on `node`, plan
+/// from the profile, map the cuts to `net` and replay the plan's residency
+/// on `net`'s activations of `x`. `what` names the plan in panics.
+fn plan_and_bridge(
+    graph: &ModelGraph,
+    batch: usize,
+    node: &NodeSpec,
+    cfg: &OptConfig,
     net: &Sequential,
     x: &Tensor,
-    y: &[usize],
-    runs: usize,
-) -> (f64, f32) {
-    let (mut loss, _, _) = exec.grad_step(net, x, y, |_, _| {});
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let t = Instant::now();
-        let (l, _, _) = exec.grad_step(net, x, y, |_, _| {});
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-        loss = l;
+    what: &str,
+) -> Bridged {
+    let profile = ModelProfile::collect(graph, batch, &node.gpu, &MemoryParams::exact());
+    let table = LayerCostTable::from_profile(&profile, node);
+    let cuts = optimize_blocking(&table, cfg);
+    let costs = table.block_costs(&cuts);
+    let rc = refine_recompute(&costs);
+    let plan = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc)).plan;
+    let bounds = graph_boundaries_to_net(&cuts)
+        .unwrap_or_else(|e| panic!("{what} plan isolated the input layer: {e:?}"));
+    let key_bytes: Vec<usize> = net.forward_all(x).iter().map(Tensor::bytes).collect();
+    let replay = expected_residency(&plan, &bounds, &key_bytes, net.len())
+        .unwrap_or_else(|e| panic!("{what} plan must be bridgeable: {e:?}"));
+    Bridged {
+        plan,
+        bounds,
+        key_bytes,
+        replay,
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (samples[samples.len() / 2], loss)
+}
+
+/// Wall-clock milliseconds of one call of `step`.
+fn ms<T>(step: &mut impl FnMut() -> T) -> f64 {
+    let t = Instant::now();
+    step();
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Wall-clock samples (ms) of one step, sorted ascending.
+struct Samples(Vec<f64>);
+
+impl Samples {
+    /// Times `runs` calls of `step` (warm it up first).
+    fn of<T>(runs: usize, mut step: impl FnMut() -> T) -> Self {
+        Self::sorted((0..runs).map(|_| ms(&mut step)).collect())
+    }
+
+    /// Times `runs` rounds that call `a`, then `b`, so the two
+    /// alternatives see the same scheduler noise.
+    fn interleaved<A, B>(
+        runs: usize,
+        mut a: impl FnMut() -> A,
+        mut b: impl FnMut() -> B,
+    ) -> (Self, Self) {
+        let (sa, sb) = (0..runs).map(|_| (ms(&mut a), ms(&mut b))).unzip();
+        (Self::sorted(sa), Self::sorted(sb))
+    }
+
+    fn sorted(mut samples: Vec<f64>) -> Self {
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        Self(samples)
+    }
+
+    fn median(&self) -> f64 {
+        self.0[self.0.len() / 2]
+    }
+
+    /// The minimum: the statistic least distorted by scheduler noise, so
+    /// a structural difference between interleaved steps survives in it.
+    fn best(&self) -> f64 {
+        self.0[0]
+    }
 }
 
 fn main() {
@@ -174,42 +240,39 @@ fn main() {
         let net = make_net();
         let data = SyntheticDataset::classification(2 * batch, 1, 16, 4, seed);
         let (x, y) = data.batch(0, batch);
+        let col = |mode: &str, wall_ms, blocks, peak_bytes| BenchEntry {
+            model: graph.name.clone(),
+            mode: mode.into(),
+            wall_ms,
+            threads: 1,
+            memoize: false,
+            blocks,
+            peak_bytes,
+            peak_tier_bytes: vec![],
+        };
 
-        // Steps 1-2: offline profile; a device sized so the model is
-        // out-of-core and the planner must swap.
-        let mem = MemoryParams::exact();
-        let need = graph.peak_footprint(batch, &mem) as f64;
-        // The conv workloads price the link fast enough that
-        // capacity-based swapping competes with recompute, so their
-        // plans exercise both transfer lanes; the mlp workload's thin
-        // link pushes its plan toward recompute instead.
-        let node = NodeSpec::toy(
-            GpuSpec::toy((need * 0.65) as u64, 5.0e9),
-            LinkSpec::toy(link_bw),
-        );
-        let profile = ModelProfile::collect(&graph, batch, &node.gpu, &mem);
-        let table = LayerCostTable::from_profile(&profile, &node);
-
-        // Steps 3-5: plan from the profile. Cuts at graph layer 1 are
-        // excluded — they would isolate the input layer, which the
-        // executor cannot realize.
+        // A device sized so the model is out-of-core and the planner must
+        // swap. The conv workloads price the link fast enough that
+        // capacity-based swapping competes with recompute, so their plans
+        // exercise both transfer lanes; the mlp workload's thin link
+        // pushes its plan toward recompute instead.
+        let capacity = (graph.peak_footprint(batch, &MemoryParams::exact()) as f64 * 0.65) as u64;
+        let node = NodeSpec::toy(GpuSpec::toy(capacity, 5.0e9), LinkSpec::toy(link_bw));
+        // Cuts at graph layer 1 are excluded — they would isolate the
+        // input layer, which the executor cannot realize.
         let mut cfg = OptConfig::fast(17);
         cfg.min_cut_layer = 2;
         cfg.max_cut_candidates = 5;
-        let bounds = optimize_blocking(&table, &cfg);
-        let costs = table.block_costs(&bounds);
-        let rc = refine_recompute(&costs);
-        let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-
-        // Bridge: graph-space boundaries -> net-space executor.
-        let net_bounds = graph_boundaries_to_net(&bounds)
-            .expect("planner isolated the input layer; pick another seed");
-        let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
-        let replay = expected_residency(&cp.plan, &net_bounds, &key_bytes, net.len())
-            .expect("planner plan must be bridgeable");
+        let Bridged {
+            plan,
+            bounds: net_bounds,
+            key_bytes,
+            replay,
+        } = plan_and_bridge(&graph, batch, &node, &cfg, &net, &x, "planner");
+        let blocks = plan.n_blocks;
         let budget = replay.peak_bytes;
         let bridged =
-            lower_plan(&cp.plan, &net_bounds, budget, net.len()).expect("planner plan must lower");
+            lower_plan(&plan, &net_bounds, budget, net.len()).expect("planner plan must lower");
         // The pre-bridge baseline keeps every boundary resident, so it
         // cannot run inside the plan's modeled peak — give it headroom
         // and record the peak it actually needs.
@@ -234,13 +297,13 @@ fn main() {
             (bridged, jit)
         };
 
-        let (base_ms, base_loss) = time_steps(&jit, &net, &x, &y, runs);
-        let (mut opt_ms, opt_loss) = time_steps(&bridged, &net, &x, &y, runs);
+        // Each executor's warm-up step doubles as its stats probe.
+        let (base_loss, _, s_jit) = jit.grad_step(&net, &x, &y, |_, _| {});
+        let base_ms = Samples::of(runs, || jit.grad_step(&net, &x, &y, |_, _| {})).median();
+        let (opt_loss, _, s_br) = bridged.grad_step(&net, &x, &y, |_, _| {});
 
         // Runtime cross-check: the bridge moves transfers, not arithmetic.
         assert_eq!(base_loss, opt_loss, "{}: loss diverged", graph.name);
-        let (_, _, s_jit) = jit.grad_step(&net, &x, &y, |_, _| {});
-        let (_, _, s_br) = bridged.grad_step(&net, &x, &y, |_, _| {});
         assert_eq!(s_jit.swap_out_ops, s_br.swap_out_ops);
         assert_eq!(s_jit.swap_in_ops, s_br.swap_in_ops);
         assert_eq!(s_jit.recompute_ops, s_br.recompute_ops);
@@ -280,9 +343,9 @@ fn main() {
         // arithmetic or residency) is asserted before timing; then the
         // two engines are timed interleaved and compared best-of-N,
         // where the structural difference (the hidden wire time)
-        // survives scheduler noise.
-        let mut overlap_col = None;
-        if link_ns > 0 {
+        // survives scheduler noise. Elsewhere `optimized` is timed alone.
+        let bridged_step = || bridged.grad_step(&net, &x, &y, |_, _| {});
+        let (opt_ms, overlap_col) = if link_ns > 0 {
             assert!(
                 s_br.swap_in_ops > 0,
                 "{}: the transfer-bound workload stopped swapping — overlap has nothing to hide",
@@ -310,31 +373,38 @@ fn main() {
                 "{}: the lanes hid no transfer time",
                 graph.name
             );
-            let mut opt_samples = Vec::with_capacity(runs);
-            let mut ov_samples = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let t = Instant::now();
-                bridged.grad_step(&net, &x, &y, |_, _| {});
-                opt_samples.push(t.elapsed().as_secs_f64() * 1e3);
-                let t = Instant::now();
-                overlap.grad_step(&net, &x, &y, |_, _| {});
-                ov_samples.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            opt_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            ov_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let (opt, ov) = Samples::interleaved(runs, bridged_step, || {
+                overlap.grad_step(&net, &x, &y, |_, _| {})
+            });
             assert!(
-                ov_samples[0] < opt_samples[0],
+                ov.best() < opt.best(),
                 "{}: overlap ({:.3} ms/step) must beat the synchronous optimized engine \
                  ({:.3} ms/step, best of {runs})",
                 graph.name,
-                ov_samples[0],
-                opt_samples[0]
+                ov.best(),
+                opt.best()
             );
-            // Report the interleaved medians for both columns so the
-            // bench_compare hard gate compares like-for-like samples.
-            opt_ms = opt_samples[opt_samples.len() / 2];
-            overlap_col = Some((ov_samples[ov_samples.len() / 2], s_ov));
-        }
+            // Both columns report the interleaved medians, so the
+            // bench_compare headline compares like-for-like samples.
+            let (opt_ms, ov_ms) = (opt.median(), ov.median());
+            println!(
+                "{:<14} overlap: {:>7.3} ms/step vs sync optimized {:>7.3} ms/step ({:.2}x win); \
+                 waited {:.3} ms, hidden {:.3} ms of transfer time per step",
+                graph.name,
+                ov_ms,
+                opt_ms,
+                opt_ms / ov_ms.max(1e-9),
+                s_ov.swap_wait_s * 1e3,
+                s_ov.swap_hidden_s * 1e3,
+            );
+            let ov_col = BenchEntry {
+                peak_tier_bytes: s_ov.peak_tier_bytes,
+                ..col("overlap", ov_ms, blocks, s_ov.peak_near_bytes)
+            };
+            (opt_ms, Some(ov_col))
+        } else {
+            (Samples::of(runs, bridged_step).median(), None)
+        };
 
         // Distributed column: append the MG-WFBP-grouped AR/U ops over
         // real per-block gradient sizes, lower through the distributed
@@ -343,9 +413,8 @@ fn main() {
         let workers = 2usize;
         let grad_bytes = block_grad_bytes(&net, &net_bounds);
         let model = AllReduceModel::new(AllReduceAlgo::Hierarchical, &ClusterSpec::abci(2));
-        let phased = PhasedExchange::plan(&grad_bytes, &model);
-        let mut dist_plan = cp.plan.clone();
-        append_exchange_ops(&mut dist_plan, &phased);
+        let mut dist_plan = plan.clone();
+        append_exchange_ops(&mut dist_plan, &PhasedExchange::plan(&grad_bytes, &model));
         let (dist_exec, xchg) = lower_dist_plan(&dist_plan, &net_bounds, budget, net.len())
             .expect("distributed plan must lower");
         let dp_data =
@@ -363,73 +432,54 @@ fn main() {
             "{}: per-worker peak != modeled peak",
             graph.name
         );
+        let mut dist_step = || train(&mut nets, &dist_exec, &xchg, &dp_data, batch, 0.05, 1);
         // Reference column: the sequential alternative — one replica
         // runs the same global batch on the same device. Replan for the
         // doubled footprint (the near budget does not grow, so the plan
         // offloads far more per sample) and time full steps (gradient +
-        // update, matching what the distributed step does). Skipped when
+        // update, matching what the distributed step does) interleaved
+        // with the distributed step, compared best-of-N. Skipped when
         // the plan never swaps — the comparison is only structural for
         // transfer-bound plans (see the mode list above).
-        let mut dist_samples = Vec::with_capacity(runs);
-        let mut ref_col = None;
-        if s_br.swap_in_ops > 0 {
+        let (dist_ms, ref_col) = if s_br.swap_in_ops > 0 {
             let (x_g, y_g) = dp_data.batch(0, workers * batch);
-            let profile_r = ModelProfile::collect(&graph, workers * batch, &node.gpu, &mem);
-            let table_r = LayerCostTable::from_profile(&profile_r, &node);
-            let bounds_r = optimize_blocking(&table_r, &cfg);
-            let costs_r = table_r.block_costs(&bounds_r);
-            let rc_r = refine_recompute(&costs_r);
-            let cp_r =
-                build_training_plan(&costs_r, &CapacityPlanOptions::karma_with_recompute(rc_r));
-            let nb_r =
-                graph_boundaries_to_net(&bounds_r).expect("reference plan isolated the input");
-            let key_bytes_r: Vec<usize> = net.forward_all(&x_g).iter().map(Tensor::bytes).collect();
-            let replay_r = expected_residency(&cp_r.plan, &nb_r, &key_bytes_r, net.len())
-                .expect("reference plan must be bridgeable");
-            let exec_ref = lower_plan(&cp_r.plan, &nb_r, replay_r.peak_bytes, net.len())
+            let r = plan_and_bridge(
+                &graph,
+                workers * batch,
+                &node,
+                &cfg,
+                &net,
+                &x_g,
+                "reference",
+            );
+            let exec_ref = lower_plan(&r.plan, &r.bounds, r.replay.peak_bytes, net.len())
                 .expect("reference plan must lower");
             let mut ref_net = make_net();
             // Warm-up doubles as the stats probe.
             let (_, g0, s_ref) = exec_ref.grad_step(&ref_net, &x_g, &y_g, |_, _| {});
             ref_net.apply(&g0, 0.05);
-            // Time the two alternatives interleaved and compare
-            // best-of-N: the minimum is the statistic least distorted by
-            // scheduler noise, so the structural difference (the
-            // reference's extra offload work per global step) survives.
-            let mut ref_samples = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let t = Instant::now();
-                train(&mut nets, &dist_exec, &xchg, &dp_data, batch, 0.05, 1);
-                dist_samples.push(t.elapsed().as_secs_f64() * 1e3);
-                let t = Instant::now();
+            let (dist, reference) = Samples::interleaved(runs, &mut dist_step, || {
                 let (_, g, _) = exec_ref.grad_step(&ref_net, &x_g, &y_g, |_, _| {});
                 ref_net.apply(&g, 0.05);
-                ref_samples.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            ref_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            dist_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            });
             assert!(
-                dist_samples[0] < ref_samples[0],
+                dist.best() < reference.best(),
                 "{}: distributed ({:.3} ms/step) must beat the sequential global-batch \
                  reference ({:.3} ms/step, best of {runs})",
                 graph.name,
-                dist_samples[0],
-                ref_samples[0]
+                dist.best(),
+                reference.best()
             );
-            ref_col = Some((
-                ref_samples[ref_samples.len() / 2],
-                cp_r.plan.n_blocks,
+            let ref_col = col(
+                "reference",
+                reference.median(),
+                r.plan.n_blocks,
                 s_ref.peak_near_bytes,
-            ));
+            );
+            (dist.median(), Some(ref_col))
         } else {
-            for _ in 0..runs {
-                let t = Instant::now();
-                train(&mut nets, &dist_exec, &xchg, &dp_data, batch, 0.05, 1);
-                dist_samples.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            dist_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        }
-        let dist_ms = dist_samples[dist_samples.len() / 2];
+            (Samples::of(runs, &mut dist_step).median(), None)
+        };
 
         // Tiered column: the same bridged schedule with far traffic
         // routed through a two-tier offload stack — a host tier sized to
@@ -439,11 +489,10 @@ fn main() {
         // routing must leave the near side and the arithmetic untouched.
         let parked = replay.peak_tier_bytes[0];
         let tiers = vec![TierSpec::host(parked / 2), TierSpec::nvme(usize::MAX)];
-        let tiered =
-            lower_plan_tiered(&cp.plan, &net_bounds, budget, net.len(), &key_bytes, &tiers)
-                .expect("an unbounded last tier keeps the stack feasible");
+        let tiered = lower_plan_tiered(&plan, &net_bounds, budget, net.len(), &key_bytes, &tiers)
+            .expect("an unbounded last tier keeps the stack feasible");
         let treplay = expected_residency_tiered(
-            &cp.plan,
+            &plan,
             &net_bounds,
             &key_bytes,
             net.len(),
@@ -451,13 +500,13 @@ fn main() {
             tiers.len(),
         )
         .expect("tiered plan must replay");
-        let (tier_ms, tier_loss) = time_steps(&tiered, &net, &x, &y, runs);
+        let (tier_loss, _, s_tier) = tiered.grad_step(&net, &x, &y, |_, _| {});
+        let tier_ms = Samples::of(runs, || tiered.grad_step(&net, &x, &y, |_, _| {})).median();
         assert_eq!(
             opt_loss, tier_loss,
             "{}: tier routing changed arithmetic",
             graph.name
         );
-        let (_, _, s_tier) = tiered.grad_step(&net, &x, &y, |_, _| {});
         assert_eq!(
             s_tier.peak_tier_bytes, treplay.peak_tier_bytes,
             "{}: executed per-tier peaks != modeled per-tier peaks",
@@ -495,27 +544,7 @@ fn main() {
         ];
         let mut churn_nets: Vec<Sequential> = (0..workers).map(|_| make_net()).collect();
         let mut churn_store = TierStack::new(&[TierSpec::unbounded()]);
-        // Warm-up cycle doubles as the contract cross-check. The pool
-        // returns to its starting width, so timed cycles reuse the nets.
-        let churn_report = driver
-            .run(
-                &mut churn_nets,
-                Some(&make_net),
-                &churn_data,
-                &churn_opts,
-                &mut churn_store,
-                None,
-            )
-            .expect("churn cycle must run");
-        assert_eq!(churn_report.relowers, 2, "{}: shrink + regrow", graph.name);
-        assert_eq!(
-            churn_report.peak_near_bytes, replay.peak_bytes,
-            "{}: churn moved the per-worker peak",
-            graph.name
-        );
-        let mut churn_samples = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let t = Instant::now();
+        let mut churn_cycle = || {
             driver
                 .run(
                     &mut churn_nets,
@@ -525,100 +554,39 @@ fn main() {
                     &mut churn_store,
                     None,
                 )
-                .expect("churn cycle must run");
-            churn_samples.push(t.elapsed().as_secs_f64() * 1e3 / churn_steps as f64);
-        }
-        churn_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let elastic_ms = churn_samples[churn_samples.len() / 2];
-
-        let blocks = cp.plan.n_blocks;
-        for (mode, wall_ms, peak_bytes, peak_tier_bytes) in [
-            ("baseline", base_ms, s_jit.peak_near_bytes, vec![]),
-            ("optimized", opt_ms, s_br.peak_near_bytes, vec![]),
-            ("distributed", dist_ms, report.peak_near_bytes, vec![]),
-            (
-                "tiered",
-                tier_ms,
-                s_tier.peak_near_bytes,
-                s_tier.peak_tier_bytes.clone(),
-            ),
-            ("elastic", elastic_ms, churn_report.peak_near_bytes, vec![]),
-        ] {
-            entries.push(BenchEntry {
-                model: graph.name.clone(),
-                mode: mode.into(),
-                wall_ms,
-                threads: 1,
-                memoize: false,
-                blocks,
-                peak_bytes,
-                peak_tier_bytes,
-            });
-        }
-        if let Some((ref_ms, ref_blocks, ref_peak)) = ref_col {
-            entries.push(BenchEntry {
-                model: graph.name.clone(),
-                mode: "reference".into(),
-                wall_ms: ref_ms,
-                threads: 1,
-                memoize: false,
-                blocks: ref_blocks,
-                peak_bytes: ref_peak,
-                peak_tier_bytes: vec![],
-            });
-        }
-        if let Some((ov_ms, ref s_ov)) = overlap_col {
-            println!(
-                "{:<14} overlap: {:>7.3} ms/step vs sync optimized {:>7.3} ms/step ({:.2}x win); \
-                 waited {:.3} ms, hidden {:.3} ms of transfer time per step",
-                graph.name,
-                ov_ms,
-                opt_ms,
-                opt_ms / ov_ms.max(1e-9),
-                s_ov.swap_wait_s * 1e3,
-                s_ov.swap_hidden_s * 1e3,
-            );
-            entries.push(BenchEntry {
-                model: graph.name.clone(),
-                mode: "overlap".into(),
-                wall_ms: ov_ms,
-                threads: 1,
-                memoize: false,
-                blocks,
-                peak_bytes: s_ov.peak_near_bytes,
-                peak_tier_bytes: s_ov.peak_tier_bytes.clone(),
-            });
-        }
+                .expect("churn cycle must run")
+        };
+        // Warm-up cycle doubles as the contract cross-check. The pool
+        // returns to its starting width, so timed cycles reuse the nets.
+        let churn_report = churn_cycle();
+        assert_eq!(churn_report.relowers, 2, "{}: shrink + regrow", graph.name);
+        assert_eq!(
+            churn_report.peak_near_bytes, replay.peak_bytes,
+            "{}: churn moved the per-worker peak",
+            graph.name
+        );
+        let elastic_ms = Samples::of(runs, churn_cycle).median() / churn_steps as f64;
 
         // Executed Fig. 8 comparison (ZeRO panel): replan the mlp
         // workload with the device budget ZeRO's state partitioning
         // frees across the 2 ranks, and run both plans through the same
         // data-parallel path. The headroom must delete offload work and
         // the measured step time must beat the pure-DP column.
-        if graph.name == "mlp-stack" {
+        let zero_col = (graph.name == "mlp-stack").then(|| {
             let state_bytes = graph.total_params() * 12; // fp32 weights + grads + momentum
-            let zero_cap = zero_effective_capacity((need * 0.65) as u64, state_bytes, workers);
+            let zero_cap = zero_effective_capacity(capacity, state_bytes, workers);
             let node_z = NodeSpec::toy(GpuSpec::toy(zero_cap, 5.0e9), LinkSpec::toy(link_bw));
-            let profile_z = ModelProfile::collect(&graph, batch, &node_z.gpu, &mem);
-            let table_z = LayerCostTable::from_profile(&profile_z, &node_z);
-            let bounds_z = optimize_blocking(&table_z, &cfg);
-            let costs_z = table_z.block_costs(&bounds_z);
-            let rc_z = refine_recompute(&costs_z);
-            let cp_z =
-                build_training_plan(&costs_z, &CapacityPlanOptions::karma_with_recompute(rc_z));
-            let nb_z = graph_boundaries_to_net(&bounds_z).expect("zero plan isolated the input");
-            let replay_z = expected_residency(&cp_z.plan, &nb_z, &key_bytes, net.len())
-                .expect("zero plan must be bridgeable");
-            let gb_z = block_grad_bytes(&net, &nb_z);
-            let phased_z = PhasedExchange::plan(&gb_z, &model);
-            let mut plan_z = cp_z.plan.clone();
-            append_exchange_ops(&mut plan_z, &phased_z);
-            let (exec_z, xchg_z) = lower_dist_plan(&plan_z, &nb_z, replay_z.peak_bytes, net.len())
-                .expect("zero plan must lower");
+            let z = plan_and_bridge(&graph, batch, &node_z, &cfg, &net, &x, "zero");
+            let mut plan_z = z.plan.clone();
+            let gb_z = block_grad_bytes(&net, &z.bounds);
+            append_exchange_ops(&mut plan_z, &PhasedExchange::plan(&gb_z, &model));
+            let (exec_z, xchg_z) =
+                lower_dist_plan(&plan_z, &z.bounds, z.replay.peak_bytes, net.len())
+                    .expect("zero plan must lower");
             let mut nets_z: Vec<Sequential> = (0..workers).map(|_| make_net()).collect();
             let report_z = train(&mut nets_z, &exec_z, &xchg_z, &dp_data, batch, 0.05, 1);
             assert_eq!(
-                report_z.peak_near_bytes, replay_z.peak_bytes,
+                report_z.peak_near_bytes, z.replay.peak_bytes,
                 "zero: per-worker peak != modeled peak"
             );
             assert!(
@@ -635,23 +603,14 @@ fn main() {
             );
             // Time the two plans interleaved and compare best-of-N: the
             // data-parallel path pays a scheduler-noise-prone thread and
-            // exchange constant, and the minimum is the statistic least
-            // distorted by that noise — the structural difference (the
-            // deleted recompute work) survives in it.
-            let mut zero_samples = Vec::with_capacity(runs);
-            let mut dp_samples = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let t = Instant::now();
-                train(&mut nets_z, &exec_z, &xchg_z, &dp_data, batch, 0.05, 1);
-                zero_samples.push(t.elapsed().as_secs_f64() * 1e3);
-                let t = Instant::now();
-                train(&mut nets, &dist_exec, &xchg, &dp_data, batch, 0.05, 1);
-                dp_samples.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-            zero_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            dp_samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let zero_ms = zero_samples[zero_samples.len() / 2];
-            let (zero_best, dp_best) = (zero_samples[0], dp_samples[0]);
+            // exchange constant, and the structural difference (the
+            // deleted recompute work) survives in the minimum.
+            let (zero, dp) = Samples::interleaved(
+                runs,
+                || train(&mut nets_z, &exec_z, &xchg_z, &dp_data, batch, 0.05, 1),
+                &mut dist_step,
+            );
+            let (zero_best, dp_best) = (zero.best(), dp.best());
             assert!(
                 zero_best < dp_best,
                 "executed KARMA-on-ZeRO ({zero_best:.3} ms/step) must beat executed pure-DP \
@@ -670,26 +629,29 @@ fn main() {
                 report_z.recomputed_layers,
                 report.swapped_bytes,
                 report_z.swapped_bytes,
-                (need * 0.65) as u64,
+                capacity,
                 zero_cap
             );
-            entries.push(BenchEntry {
-                model: graph.name.clone(),
-                mode: "zero_executed".into(),
-                wall_ms: zero_ms,
-                threads: 1,
-                memoize: false,
-                blocks: cp_z.plan.n_blocks,
-                peak_bytes: report_z.peak_near_bytes,
-                peak_tier_bytes: report_z.peak_tier_bytes.clone(),
-            });
-        }
+            BenchEntry {
+                peak_tier_bytes: report_z.peak_tier_bytes,
+                ..col(
+                    "zero_executed",
+                    zero.median(),
+                    z.plan.n_blocks,
+                    report_z.peak_near_bytes,
+                )
+            }
+        });
+
         let s = base_ms / opt_ms.max(1e-9);
+        let vs_seq = ref_col.as_ref().map_or(String::new(), |r| {
+            format!(" vs seq global-batch {:>7.3} ms/step", r.wall_ms)
+        });
         println!(
             "{:<14} batch {:>3}, {} blocks, {} swaps, {} recomputes: \
              jit {:>7.3} ms -> bridged {:>7.3} ms ({:.2}x); \
              peak {} B -> {} B ({} boundary evictions); \
-             dp x{} {:>7.3} ms/step vs seq global-batch {:>7.3} ms/step, {} msgs ({} groups); \
+             dp x{} {:>7.3} ms/step{vs_seq}, {} msgs ({} groups); \
              tiered {:>7.3} ms, far peaks {:?} B; elastic {:>7.3} ms/step",
             graph.name,
             batch,
@@ -704,12 +666,34 @@ fn main() {
             s_br.boundary_out_ops,
             workers,
             dist_ms,
-            ref_col.map_or(f64::NAN, |c| c.0),
             report.exchange_messages,
             xchg.n_groups(),
             tier_ms,
             s_tier.peak_tier_bytes,
             elastic_ms
+        );
+        let tier_col = BenchEntry {
+            peak_tier_bytes: s_tier.peak_tier_bytes,
+            ..col("tiered", tier_ms, blocks, s_tier.peak_near_bytes)
+        };
+        entries.extend(
+            [
+                Some(col("baseline", base_ms, blocks, s_jit.peak_near_bytes)),
+                Some(col("optimized", opt_ms, blocks, s_br.peak_near_bytes)),
+                Some(col("distributed", dist_ms, blocks, report.peak_near_bytes)),
+                Some(tier_col),
+                Some(col(
+                    "elastic",
+                    elastic_ms,
+                    blocks,
+                    churn_report.peak_near_bytes,
+                )),
+                ref_col,
+                overlap_col,
+                zero_col,
+            ]
+            .into_iter()
+            .flatten(),
         );
         speedup.push(ModelSpeedup {
             model: graph.name.clone(),

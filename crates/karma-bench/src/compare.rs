@@ -1,35 +1,70 @@
-//! The CI bench-regression gate (`check-bench`).
+//! The CI bench-regression gate (`check-bench`): compares a freshly
+//! generated [`BenchReport`] against the committed baseline.
 //!
-//! Compares a freshly generated [`BenchReport`] against the committed
-//! baseline and fails on a real slowdown of the optimized path. Because
-//! the two reports generally come from different machines (a laptop
-//! recorded the baseline, a CI runner the fresh one), absolute wall times
-//! are not comparable; instead the gate normalizes per report:
+//! This is the one description of the gate rules; the report schema,
+//! the `bench_compare` binary, CI and the README point here.
 //!
-//! * **machine speed** cancels in the `optimized / baseline` wall-time
-//!   ratio, since both modes of one report are measured in the same run;
-//! * **thread count** only ever works in the gate's favor — a runner with
-//!   more cores makes the parallel `optimized` mode faster, never slower,
-//!   so a ratio regression beyond the threshold is a genuine code
-//!   regression, not a topology artifact;
-//! * **smoke mode** is pinned by refusing to compare reports whose
-//!   `config` fields differ.
+//! A report records one column per `(model, mode)` entry. The committed
+//! report and the fresh one generally come from different machines, so
+//! absolute wall times are never compared across them. No rule names a
+//! mode except `baseline`, the per-model denominator: a column a bench
+//! adds is gated as soon as the committed report records it. Every
+//! committed column must pass:
 //!
-//! The `blocks` fields double as a determinism canary: the same search
-//! config must reproduce the same blocking on any host, so a drift fails
-//! the gate even when timing looks fine.
+//! * **presence** — the fresh report records the same `(model, mode)`;
+//! * **block-count canary** — `blocks` is unchanged: the same search
+//!   config must reproduce the same blocking on any host;
+//! * **ratio gate** (every column except `baseline`) — `wall_ms` divided
+//!   by the model's `baseline` wall may not grow by more than
+//!   `max_slowdown` (default [`DEFAULT_MAX_SLOWDOWN`]). Machine speed
+//!   cancels in the ratio, since both walls come from the same run, and
+//!   a host with more cores only makes a parallel column faster;
+//! * **peak gates** — `peak_bytes` and each `peak_tier_bytes` entry may
+//!   not grow by more than [`DEFAULT_MAX_PEAK_GROWTH`]. Byte counts of a
+//!   deterministic plan compare directly across machines. A `0` on
+//!   either side means the column does not execute (planner benches, an
+//!   unused tier) and skips that gate; a changed tier count fails.
+//!
+//! On top of the per-column rules, each [`HEADLINES`] row requires the
+//! fresh report's `faster` wall to beat its `slower` wall, for every
+//! committed model whose fresh report records both. Both walls come from
+//! the same run, so they compare directly: no normalization, no
+//! tolerance.
+//!
+//! Reports whose `config` differs (smoke vs default) are refused
+//! outright, as is a non-finite or negative `max_slowdown`. Models and
+//! columns only the fresh report records are not gated until a committed
+//! baseline carries them.
 
 use crate::report::BenchReport;
 
 /// Default slowdown tolerance: fail beyond a 25% ratio regression.
 pub const DEFAULT_MAX_SLOWDOWN: f64 = 0.25;
 
-/// Executed-peak-bytes tolerance: fail beyond 10% growth. Peaks are byte
-/// counts of a deterministic plan, so unlike wall times they compare
-/// directly across machines; the headroom only absorbs legitimate small
-/// plan shifts (a real residency regression — e.g. boundary eviction
-/// silently dropped — blows well past it).
+/// Executed-peak-bytes tolerance: fail beyond 10% growth. The headroom
+/// only absorbs legitimate small plan shifts (a real residency
+/// regression — e.g. boundary eviction silently dropped — blows well
+/// past it).
 pub const DEFAULT_MAX_PEAK_GROWTH: f64 = 0.10;
+
+/// The headline comparisons, `(faster, slower, what slower is)`:
+///
+/// * sharding the global batch across workers must beat running it
+///   sequentially on one device, which pays real extra offload work;
+/// * the asynchronous swap engine must beat the synchronous one on the
+///   transfer-bound workload, where the only difference is whether the
+///   priced wire time blocks compute.
+pub const HEADLINES: &[(&str, &str, &str)] = &[
+    (
+        "distributed",
+        "reference",
+        "the sequential global-batch reference",
+    ),
+    ("overlap", "optimized", "the synchronous optimized engine"),
+];
+
+/// The column every other column's wall time is normalized against.
+const BASELINE: &str = "baseline";
 
 /// Outcome of one gate evaluation.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -45,17 +80,47 @@ impl GateOutcome {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    fn record(&mut self, ok: bool, note: String, failure: String) {
+        if ok {
+            self.notes.push(note);
+        } else {
+            self.failures.push(failure);
+        }
+    }
+
+    /// The peak gate on one byte count of column `col`.
+    fn gate_peak(&mut self, col: &str, what: &str, old: usize, new: usize) {
+        if old == 0 || new == 0 {
+            return;
+        }
+        let limit = old as f64 * (1.0 + DEFAULT_MAX_PEAK_GROWTH);
+        self.record(
+            new as f64 <= limit,
+            format!("{col}: {what} {new} vs committed {old} — ok"),
+            format!(
+                "{col}: {what} regressed from {old} to {new} (limit {limit:.0}, tolerance {:.0}%)",
+                DEFAULT_MAX_PEAK_GROWTH * 100.0
+            ),
+        );
+    }
 }
 
-/// Compare `fresh` against `baseline`, tolerating up to `max_slowdown`
-/// (e.g. `0.25` = 25%) regression of the per-model optimized/baseline
-/// wall-time ratio.
+/// Compare `fresh` against `baseline` under the rules in the
+/// [module docs](self), tolerating up to `max_slowdown` (e.g. `0.25` =
+/// 25%) growth of each column's wall-time ratio to `baseline`.
 pub fn compare_reports(
     baseline: &BenchReport,
     fresh: &BenchReport,
     max_slowdown: f64,
 ) -> GateOutcome {
     let mut out = GateOutcome::default();
+    if !(max_slowdown.is_finite() && max_slowdown >= 0.0) {
+        out.failures.push(format!(
+            "--max-slowdown must be a finite, non-negative fraction, got {max_slowdown}"
+        ));
+        return out;
+    }
     if baseline.config != fresh.config {
         out.failures.push(format!(
             "config mismatch: baseline is '{}', fresh is '{}' — regenerate the committed \
@@ -65,206 +130,78 @@ pub fn compare_reports(
         return out;
     }
     for model in baseline.models() {
-        let pair = |r: &BenchReport| -> Option<(f64, f64)> {
-            let base = r.entry(model, "baseline")?;
-            let opt = r.entry(model, "optimized")?;
-            Some((base.wall_ms, opt.wall_ms))
-        };
-        let Some((b_base, b_opt)) = pair(baseline) else {
-            out.notes
-                .push(format!("{model}: baseline report is incomplete, skipped"));
-            continue;
-        };
-        let Some((f_base, f_opt)) = pair(fresh) else {
-            out.failures
-                .push(format!("{model}: missing from the fresh report"));
-            continue;
-        };
-        // Determinism canary before any timing question.
-        for mode in ["baseline", "optimized"] {
-            let committed = baseline.entry(model, mode).unwrap().blocks;
-            let got = fresh.entry(model, mode).unwrap().blocks;
-            if committed != got {
-                out.failures.push(format!(
-                    "{model}/{mode}: plan drifted from {committed} to {got} blocks under an \
-                     unchanged config — the search is no longer deterministic"
-                ));
-            }
+        let base_wall = |r: &BenchReport| r.entry(model, BASELINE).map(|e| e.wall_ms.max(1e-9));
+        let (b_base, f_base) = (base_wall(baseline), base_wall(fresh));
+        if b_base.is_none() {
+            out.notes.push(format!(
+                "{model}: no committed {BASELINE} column, ratio gates skipped"
+            ));
         }
-        let gate_ratio = |mode: &str, b_mode: f64, f_mode: f64| -> Result<String, String> {
-            let r_old = b_mode / b_base.max(1e-9);
-            let r_new = f_mode / f_base.max(1e-9);
-            let limit = r_old * (1.0 + max_slowdown);
-            if r_new > limit {
-                Err(format!(
-                    "{model}: {mode}/baseline wall-time ratio regressed from {r_old:.3} to \
-                     {r_new:.3} (limit {limit:.3}, tolerance {:.0}%)",
-                    max_slowdown * 100.0
-                ))
-            } else {
-                Ok(format!(
-                    "{model}/{mode}: ratio {r_new:.3} vs committed {r_old:.3} (limit {limit:.3}) \
-                     — ok"
-                ))
-            }
-        };
-        let record = |out: &mut GateOutcome, res: Result<String, String>| match res {
-            Ok(n) => out.notes.push(n),
-            Err(e) => out.failures.push(e),
-        };
-        record(&mut out, gate_ratio("optimized", b_opt, f_opt));
-        // Executed peak bytes gate every mode that records them (0 = the
-        // mode never executes on the tensor stack, e.g. planner benches;
-        // reports are regenerated whenever the schema changes, so both
-        // sides always carry the field).
-        for mode in [
-            "baseline",
-            "optimized",
-            "distributed",
-            "reference",
-            "tiered",
-            "elastic",
-            "overlap",
-            "zero_executed",
-        ] {
-            let (Some(b), Some(f)) = (baseline.entry(model, mode), fresh.entry(model, mode)) else {
+        for b in baseline.entries.iter().filter(|e| e.model == model) {
+            let mode = b.mode.as_str();
+            let Some(f) = fresh.entry(model, mode) else {
+                out.failures.push(format!(
+                    "{model}: {mode} column missing from the fresh report"
+                ));
                 continue;
             };
-            if b.peak_bytes != 0 && f.peak_bytes != 0 {
-                let limit = b.peak_bytes as f64 * (1.0 + DEFAULT_MAX_PEAK_GROWTH);
-                if f.peak_bytes as f64 > limit {
-                    out.failures.push(format!(
-                        "{model}/{mode}: executed peak bytes regressed from {} to {} (limit \
-                         {limit:.0}, tolerance {:.0}%)",
-                        b.peak_bytes,
-                        f.peak_bytes,
-                        DEFAULT_MAX_PEAK_GROWTH * 100.0
-                    ));
-                } else {
-                    out.notes.push(format!(
-                        "{model}/{mode}: executed peak {} B vs committed {} B — ok",
-                        f.peak_bytes, b.peak_bytes
-                    ));
-                }
+            let col = format!("{model}/{mode}");
+            if b.blocks != f.blocks {
+                out.failures.push(format!(
+                    "{col}: plan drifted from {} to {} blocks under an unchanged config — the \
+                     search is no longer deterministic",
+                    b.blocks, f.blocks
+                ));
             }
-            // Per-tier peaks gate with the same tolerance: a tiered run
-            // that starts leaning harder on a fast tier is a residency
-            // regression even when the whole-stack peak holds still.
+            if let (false, Some(bb), Some(fb)) = (mode == BASELINE, b_base, f_base) {
+                let (r_old, r_new) = (b.wall_ms / bb, f.wall_ms / fb);
+                let limit = r_old * (1.0 + max_slowdown);
+                out.record(
+                    r_new <= limit,
+                    format!(
+                        "{col}: ratio {r_new:.3} vs committed {r_old:.3} (limit {limit:.3}) — ok"
+                    ),
+                    format!(
+                        "{model}: {mode}/{BASELINE} wall-time ratio regressed from {r_old:.3} to \
+                         {r_new:.3} (limit {limit:.3}, tolerance {:.0}%)",
+                        max_slowdown * 100.0
+                    ),
+                );
+            }
+            out.gate_peak(&col, "executed peak bytes", b.peak_bytes, f.peak_bytes);
             if b.peak_tier_bytes.is_empty() {
                 continue;
             }
             if b.peak_tier_bytes.len() != f.peak_tier_bytes.len() {
                 out.failures.push(format!(
-                    "{model}/{mode}: tier stack drifted from {} to {} tiers under an unchanged \
-                     config",
+                    "{col}: tier stack drifted from {} to {} tiers under an unchanged config",
                     b.peak_tier_bytes.len(),
                     f.peak_tier_bytes.len()
                 ));
                 continue;
             }
             for (t, (&bp, &fp)) in b.peak_tier_bytes.iter().zip(&f.peak_tier_bytes).enumerate() {
-                if bp == 0 || fp == 0 {
-                    continue;
-                }
-                let limit = bp as f64 * (1.0 + DEFAULT_MAX_PEAK_GROWTH);
-                if fp as f64 > limit {
-                    out.failures.push(format!(
-                        "{model}/{mode}: tier {t} peak regressed from {bp} to {fp} bytes (limit \
-                         {limit:.0}, tolerance {:.0}%)",
-                        DEFAULT_MAX_PEAK_GROWTH * 100.0
-                    ));
-                } else {
-                    out.notes.push(format!(
-                        "{model}/{mode}: tier {t} peak {fp} B vs committed {bp} B — ok"
-                    ));
-                }
+                out.gate_peak(&col, &format!("tier {t} peak"), bp, fp);
             }
         }
-        // Optional columns (the distributed data-parallel step, the
-        // sequential global-batch reference, the tiered offload stack,
-        // the elastic churn cycle, the asynchronous overlap engine, the
-        // executed KARMA-on-ZeRO run) gate the same way once the
-        // committed baseline carries them; their wall times normalize
-        // against the same single-GPU baseline, so machine speed still
-        // cancels.
-        for mode in [
-            "distributed",
-            "reference",
-            "tiered",
-            "elastic",
-            "overlap",
-            "zero_executed",
-        ] {
-            match (baseline.entry(model, mode), fresh.entry(model, mode)) {
-                (None, _) => {}
-                (Some(_), None) => out.failures.push(format!(
-                    "{model}: {mode} column missing from the fresh report"
-                )),
-                (Some(b), Some(f)) => {
-                    if b.blocks != f.blocks {
-                        out.failures.push(format!(
-                            "{model}/{mode}: plan drifted from {} to {} blocks under an \
-                             unchanged config — the search is no longer deterministic",
-                            b.blocks, f.blocks
-                        ));
-                    }
-                    record(&mut out, gate_ratio(mode, b.wall_ms, f.wall_ms));
-                }
-            }
-        }
-        // The distributed headline: sharding the global batch must beat
-        // running it sequentially on one device. Both columns come from
-        // the same run on the same machine, so their walls compare
-        // directly — no normalization, no tolerance: the sequential
-        // reference pays real extra offload work, and a distributed
-        // step that fails to undercut it has lost the paper's argument.
-        if let (Some(d), Some(r)) = (
-            fresh.entry(model, "distributed"),
-            fresh.entry(model, "reference"),
-        ) {
-            if d.wall_ms < r.wall_ms {
-                out.notes.push(format!(
-                    "{model}: distributed {:.3} ms/step beats the sequential global-batch \
-                     reference {:.3} ms/step ({:.2}x) — ok",
-                    d.wall_ms,
-                    r.wall_ms,
-                    r.wall_ms / d.wall_ms.max(1e-9)
-                ));
-            } else {
-                out.failures.push(format!(
-                    "{model}: distributed ({:.3} ms/step) no longer beats the sequential \
-                     global-batch reference ({:.3} ms/step)",
-                    d.wall_ms, r.wall_ms
-                ));
-            }
-        }
-        // The overlap headline: the asynchronous swap engine must beat
-        // the synchronous optimized engine wherever the column is
-        // recorded (transfer-bound workloads). Both columns come from
-        // the same interleaved run on the same machine, so their walls
-        // compare directly — no normalization, no tolerance: the only
-        // difference between the two engines is whether the priced wire
-        // time blocks compute, and an overlap column that fails to hide
-        // it has lost the engine's whole argument.
-        if let (Some(o), Some(s)) = (
-            fresh.entry(model, "overlap"),
-            fresh.entry(model, "optimized"),
-        ) {
-            if o.wall_ms < s.wall_ms {
-                out.notes.push(format!(
-                    "{model}: overlap {:.3} ms/step beats the synchronous optimized engine \
-                     {:.3} ms/step ({:.2}x) — ok",
-                    o.wall_ms,
+        for &(faster, slower, what) in HEADLINES {
+            let (Some(a), Some(s)) = (fresh.entry(model, faster), fresh.entry(model, slower))
+            else {
+                continue;
+            };
+            out.record(
+                a.wall_ms < s.wall_ms,
+                format!(
+                    "{model}: {faster} {:.3} ms/step beats {what} {:.3} ms/step ({:.2}x) — ok",
+                    a.wall_ms,
                     s.wall_ms,
-                    s.wall_ms / o.wall_ms.max(1e-9)
-                ));
-            } else {
-                out.failures.push(format!(
-                    "{model}: overlap ({:.3} ms/step) no longer beats the synchronous optimized \
-                     engine ({:.3} ms/step) — the I/O lanes stopped hiding transfer time",
-                    o.wall_ms, s.wall_ms
-                ));
-            }
+                    s.wall_ms / a.wall_ms.max(1e-9)
+                ),
+                format!(
+                    "{model}: {faster} ({:.3} ms/step) no longer beats {what} ({:.3} ms/step)",
+                    a.wall_ms, s.wall_ms
+                ),
+            );
         }
     }
     for model in fresh.models() {
@@ -742,5 +679,54 @@ mod tests {
         let out = compare_reports(&old, &new, DEFAULT_MAX_SLOWDOWN);
         assert!(!out.passed());
         assert!(out.failures[0].contains("config mismatch"));
+    }
+
+    #[test]
+    fn non_finite_or_negative_tolerance_is_refused() {
+        let r = report("smoke", &[("resnet", 100.0, 40.0, 7)]);
+        for bad in [f64::NAN, f64::INFINITY, -0.5] {
+            let out = compare_reports(&r, &r, bad);
+            assert!(!out.passed(), "tolerance {bad} must be refused");
+            assert!(
+                out.failures[0].contains("--max-slowdown"),
+                "{:?}",
+                out.failures
+            );
+        }
+    }
+
+    #[test]
+    fn unlisted_columns_are_gated_by_every_rule() {
+        // A mode no rule names still gets presence, blocks, ratio and
+        // peak gates once the committed report records it.
+        let with_foo = |wall_ms: f64, blocks: usize, peak: usize| {
+            let mut r = report("smoke", &[("resnet", 100.0, 40.0, 7)]);
+            let mut e = entry("resnet", "foo", wall_ms, 1, blocks);
+            e.peak_bytes = peak;
+            r.entries.push(e);
+            r
+        };
+        let old = with_foo(60.0, 7, 1000);
+        let out = compare_reports(&old, &with_foo(60.0, 7, 1000), DEFAULT_MAX_SLOWDOWN);
+        assert!(out.passed(), "{:?}", out.failures);
+        for (fresh, rule) in [
+            (
+                report("smoke", &[("resnet", 100.0, 40.0, 7)]),
+                "foo column missing",
+            ),
+            (with_foo(60.0, 8, 1000), "no longer deterministic"),
+            (
+                with_foo(90.0, 7, 1000),
+                "foo/baseline wall-time ratio regressed",
+            ),
+            (with_foo(60.0, 7, 1200), "executed peak bytes regressed"),
+        ] {
+            let out = compare_reports(&old, &fresh, DEFAULT_MAX_SLOWDOWN);
+            assert!(
+                out.failures.iter().any(|f| f.contains(rule)),
+                "{rule}: {:?}",
+                out.failures
+            );
+        }
     }
 }

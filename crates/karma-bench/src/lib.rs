@@ -17,9 +17,10 @@
 //!
 //! Beyond the paper artifacts, [`report`] defines the `BENCH_*.json`
 //! schema written by the perf-trajectory binaries (`planner_bench` for
-//! the search, `exec_bench` for the plan→runtime execution path) and
-//! [`compare`] implements the CI regression gate (`bench_compare`) over
-//! those files.
+//! the search, `exec_bench` for the plan→runtime execution path,
+//! `serve_bench` for plan serving) and [`compare`] implements the CI
+//! regression gate (`bench_compare`) over those files; its module docs
+//! are the one description of the gate rules.
 //!
 //! **Workspace position:** the top of the dependency order — depends on
 //! both the analysis-side crates and (for `exec_bench`) the execution

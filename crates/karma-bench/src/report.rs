@@ -1,12 +1,12 @@
 //! The `BENCH_*.json` report schema shared by the perf-trajectory
-//! binaries (`planner_bench`, `exec_bench`) and the CI regression gate
-//! (`bench_compare`).
+//! binaries (`planner_bench`, `exec_bench`, `serve_bench`) and the CI
+//! regression gate (`bench_compare`).
 //!
-//! Every report carries, per model, a `baseline` and an `optimized` entry
-//! **measured in the same run on the same machine**. The gate compares
-//! the optimized/baseline *ratio* across reports, which cancels machine
-//! speed — the only honest way to diff wall times recorded on different
-//! hosts.
+//! A report records one column per `(model, mode)` entry. All columns of
+//! a model are **measured in the same run on the same machine**, and its
+//! `baseline` column is the denominator the others are normalized
+//! against. How the gate treats each column is described once, in
+//! [`crate::compare`].
 
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 pub struct BenchEntry {
     /// Workload name.
     pub model: String,
-    /// `"baseline"` or `"optimized"`.
+    /// Column name: `"baseline"` (the model's denominator) or any mode
+    /// the bench records; [`crate::compare`] gates every one alike.
     pub mode: String,
     /// Median wall time (ms).
     pub wall_ms: f64,
