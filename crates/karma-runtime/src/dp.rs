@@ -7,17 +7,22 @@
 //! through **zero-copy aggregation buffers** ([`ExchangeBuffers`]): one
 //! pre-registered accumulation slot per group, sized at lowering time
 //! from the per-block gradient payloads. As a group's last block finishes
-//! its backward pass, the worker folds the group's gradients *in place*
-//! into the shared slot — no message serialization, no aggregator thread,
-//! no per-rank copies — and *keeps computing*: the folding of
-//! already-gated groups overlaps the remaining backward/swap work,
-//! exactly the overlap the paper's phased exchange buys. Folds are
-//! sequenced in ascending contributor-rank order per group (a worker
-//! whose turn has not come defers the fold to its end-of-step drain), so
-//! the float operations and their order are fixed regardless of thread
-//! interleaving: the averaged gradients every replica installs before its
-//! weight update are bit-identical to [`train_reference`] at any
-//! worker×thread count.
+//! its backward pass, the worker folds the group's gradients into the
+//! shared slot and *keeps computing*: the folding of already-gated groups
+//! overlaps the remaining backward/swap work, exactly the overlap the
+//! paper's phased exchange buys. "Zero-copy" means no message
+//! serialization and no aggregator thread, and every fold after a group's
+//! first is an in-place `axpy`. Each worker step still makes three
+//! copies: its block gradients into a staging list as each block finishes
+//! backward, the first contributor's payload into the group's slot, and
+//! the published average back out on [`ExchangeBuffers::install`].
+//!
+//! Folds are sequenced in ascending contributor-rank order per group (a
+//! worker whose turn has not come defers the fold to its end-of-step
+//! drain), so the float operations and their order are fixed regardless
+//! of thread interleaving: the averaged gradients every replica installs
+//! before its weight update are bit-identical to [`train_reference`] at
+//! any worker×thread count.
 //!
 //! One engine runs every step, with or without injected failures; the
 //! failure-free entry points are [`train`] and [`train_with_buffers`],
@@ -685,10 +690,15 @@ type WorkerStep = (f32, Option<Gradients>, OocStats, f64);
 /// alive subset of `nets`, with mid-step failures injected from a static
 /// [`FaultPlan`] under its complete-or-abort rule. Workers fold group
 /// gradients in place into `bufs` under the ascending-rank sequencing
-/// rule (see [`ExchangeBuffers`]); no aggregator thread, no message
-/// copies. A dying worker's shipped groups fold normally, its unshipped
-/// groups are simply never expected (the static contributor table sets
-/// each slot's count up front).
+/// rule (see [`ExchangeBuffers`]); no aggregator thread, no messages.
+/// Per step a worker copies its block gradients into a staging list, the
+/// first contributor to a group copies its payload into the slot, and
+/// each survivor copies the average out on install. A dying worker's
+/// shipped groups fold normally, its unshipped groups are simply never
+/// expected (the static contributor table sets each slot's count up
+/// front). Replica identity is checked in place
+/// ([`Sequential::same_params`]) on entry and exit; the report's
+/// `final_snapshot` is the one full copy of the parameters a call makes.
 ///
 /// [`train_with_buffers`] runs it with an empty plan;
 /// [`crate::elastic::ElasticDriver::run`] injects its
@@ -725,9 +735,10 @@ pub(crate) fn train_churn(
         nets[0].len(),
         "buffers registered for a different net"
     );
-    let first = nets[0].snapshot();
+    // The first replica is compared with itself too, so a NaN weight
+    // fails the check.
     for n in nets.iter() {
-        assert_eq!(n.snapshot(), first, "replicas must start identical");
+        assert!(n.same_params(&nets[0]), "replicas must start identical");
     }
     let (per_worker, lr) = (cfg.per_worker, cfg.lr);
 
@@ -922,14 +933,13 @@ pub(crate) fn train_churn(
     }
     dead.sort_unstable();
 
-    let final_snapshot = nets[alive[0]].snapshot();
     for &i in &alive {
-        assert_eq!(
-            nets[i].snapshot(),
-            final_snapshot,
+        assert!(
+            nets[i].same_params(&nets[alive[0]]),
             "replicas diverged — exchange broke determinism"
         );
     }
+    let final_snapshot = nets[alive[0]].snapshot();
     let report = ChurnReport {
         dp: DataParallelReport {
             losses,
@@ -1389,6 +1399,18 @@ mod tests {
         let exec = ooc_exec(nets[0].len());
         let xchg = ExchangeSchedule::per_block(3);
         train(&mut nets, &exec, &xchg, &data, 8, 0.05, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "replicas must start identical")]
+    fn replicas_differing_in_one_weight_are_rejected() {
+        let data = dataset();
+        let mut nets = replicas(2);
+        let w = &mut nets[1].layers[0].params_mut()[0].data[0];
+        *w = f32::from_bits(w.to_bits() + 1);
+        let exec = ooc_exec(nets[0].len());
+        let xchg = ExchangeSchedule::per_block(3);
+        train(&mut nets, &exec, &xchg, &data, 8, 0.05, 1);
     }
 
     #[test]

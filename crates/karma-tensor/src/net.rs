@@ -136,12 +136,28 @@ impl Sequential {
         hits as f64 / labels.len() as f64
     }
 
-    /// Flat snapshot of all parameters (for bit-parity comparisons).
+    /// Flat snapshot of all parameters (for bit-parity comparisons),
+    /// sized once and filled with one copy per parameter tensor.
     pub fn snapshot(&self) -> Vec<f32> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.params().into_iter().flat_map(|t| t.data.clone()))
-            .collect()
+        let params: Vec<&Tensor> = self.layers.iter().flat_map(|l| l.params()).collect();
+        let mut flat = Vec::with_capacity(params.iter().map(|t| t.data.len()).sum());
+        for t in params {
+            flat.extend_from_slice(&t.data);
+        }
+        flat
+    }
+
+    /// True when `other` holds the same parameters as `self`: the same
+    /// layer count, the same parameter count per layer, and element-wise
+    /// f32-equal data. Compares in place, without materialising a
+    /// [`Sequential::snapshot`]; like `snapshot() == snapshot()`, a NaN
+    /// parameter makes even `net.same_params(&net)` false.
+    pub fn same_params(&self, other: &Sequential) -> bool {
+        self.layers.len() == other.layers.len()
+            && self.layers.iter().zip(&other.layers).all(|(a, b)| {
+                let (pa, pb) = (a.params(), b.params());
+                pa.len() == pb.len() && pa.iter().zip(&pb).all(|(ta, tb)| ta.data == tb.data)
+            })
     }
 
     /// Overwrite every parameter from a flat [`Sequential::snapshot`] of a
@@ -317,6 +333,60 @@ mod tests {
         assert_ne!(bn_other.snapshot(), weights);
         bn_other.restore(&weights);
         assert_eq!(bn_other.snapshot(), weights);
+    }
+
+    #[test]
+    fn snapshot_is_the_layer_order_concatenation_of_params() {
+        let net = small_resnet_style(4, 5);
+        let mut by_hand = Vec::new();
+        for l in &net.layers {
+            for t in l.params() {
+                by_hand.extend(t.data.iter().copied());
+            }
+        }
+        let flat = net.snapshot();
+        assert_eq!(flat, by_hand);
+
+        let mut other = small_resnet_style(4, 77);
+        other.restore(&flat);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&other.snapshot()), bits(&flat), "bitwise round trip");
+    }
+
+    #[test]
+    fn same_params_matches_snapshot_equality() {
+        let nets: [fn(usize, u64) -> Sequential; 2] = [small_cnn, small_resnet_style];
+        for make in nets {
+            let net = make(4, 5);
+            assert!(net.same_params(&net));
+            assert!(net.same_params(&make(4, 5)), "identically seeded twin");
+
+            // One ulp on one element of the last parameter tensor.
+            let mut nudged = make(4, 5);
+            let last = nudged.layers.len() - 1;
+            let w = &mut nudged.layers[last].params_mut()[0].data[0];
+            *w = f32::from_bits(w.to_bits() + 1);
+            assert!(!net.same_params(&nudged));
+            assert!(!nudged.same_params(&net));
+            assert_ne!(net.snapshot(), nudged.snapshot());
+
+            // NaN is unequal to itself, exactly as in `snapshot() == snapshot()`.
+            let mut poisoned = make(4, 5);
+            poisoned.layers[0].params_mut()[0].data[0] = f32::NAN;
+            assert!(!poisoned.same_params(&poisoned));
+            assert_ne!(poisoned.snapshot(), poisoned.snapshot());
+
+            // Architecture mismatches are `false`, not a panic.
+            assert!(!net.same_params(&make(5, 5)), "different dense shape");
+            let mut short = make(4, 5);
+            short.layers.pop();
+            assert!(!net.same_params(&short), "one layer fewer");
+            assert!(!short.same_params(&net), "one layer more");
+            let mut stateless = make(4, 5);
+            stateless.layers[0] = Box::new(crate::layers::ReLU);
+            assert!(!net.same_params(&stateless), "different param count");
+        }
+        assert!(!small_cnn(4, 5).same_params(&small_resnet_style(4, 5)));
     }
 
     #[test]
