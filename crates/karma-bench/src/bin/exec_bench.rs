@@ -1,10 +1,8 @@
 //! Plan→runtime execution micro-benchmark: times a *real* out-of-core
-//! training step driven end to end by the planner — profile the model
-//! (`karma-sim::ModelProfile`), plan from the profile
-//! (`LayerCostTable::from_profile` → `optimize_blocking` →
-//! `refine_recompute` → `build_training_plan`), lower the plan through the
-//! bridge (`karma_runtime::bridge::lower_plan`) and execute it on the
-//! tensor stack. Records `BENCH_exec.json` in the same shape as
+//! training step driven end to end by the planner — profile, search and
+//! plan the model (`karma_runtime::bridge::plan_net`), lower the plan at
+//! its replayed peak (`NetPlan::lower`) and execute it on the tensor
+//! stack. Records `BENCH_exec.json` in the same shape as
 //! `BENCH_planner.json`, so the executor path joins the cross-PR perf
 //! trajectory and the CI regression gate.
 //!
@@ -72,67 +70,21 @@
 use std::time::Instant;
 
 use karma_bench::report::{BenchEntry, BenchReport, ModelSpeedup};
-use karma_core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma_core::cost::LayerCostTable;
-use karma_core::opt::{optimize_blocking, refine_recompute, OptConfig};
-use karma_core::Plan;
+use karma_core::opt::OptConfig;
 use karma_dist::{append_exchange_ops, zero_effective_capacity};
 use karma_graph::{MemoryParams, ModelGraph};
 use karma_hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 use karma_net::{AllReduceAlgo, AllReduceModel, PhasedExchange};
 use karma_runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_residency, expected_residency_tiered,
-    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered, ResidencyReplay,
+    block_grad_bytes, expected_exchange, expected_residency_tiered, lower_dist_plan,
+    lower_plan_tiered, plan_net,
 };
 use karma_runtime::dp::train;
 use karma_runtime::elastic::{ElasticDriver, ElasticOptions, PoolEvent};
 use karma_runtime::{OocExecutor, TierSpec, TierStack};
-use karma_sim::ModelProfile;
 use karma_tensor::{
     conv_stack, mlp_stack, small_resnet_style, Sequential, SyntheticDataset, Tensor,
 };
-
-/// A planner plan bridged to the executable net.
-struct Bridged {
-    plan: Plan,
-    /// Net-space block boundaries.
-    bounds: Vec<usize>,
-    /// Bytes of every layer's output activation on the planned input.
-    key_bytes: Vec<usize>,
-    /// The plan's modeled residency on those activations.
-    replay: ResidencyReplay,
-}
-
-/// Steps 1-5 and the bridge: profile `graph` at `batch` on `node`, plan
-/// from the profile, map the cuts to `net` and replay the plan's residency
-/// on `net`'s activations of `x`. `what` names the plan in panics.
-fn plan_and_bridge(
-    graph: &ModelGraph,
-    batch: usize,
-    node: &NodeSpec,
-    cfg: &OptConfig,
-    net: &Sequential,
-    x: &Tensor,
-    what: &str,
-) -> Bridged {
-    let profile = ModelProfile::collect(graph, batch, &node.gpu, &MemoryParams::exact());
-    let table = LayerCostTable::from_profile(&profile, node);
-    let cuts = optimize_blocking(&table, cfg);
-    let costs = table.block_costs(&cuts);
-    let rc = refine_recompute(&costs);
-    let plan = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc)).plan;
-    let bounds = graph_boundaries_to_net(&cuts)
-        .unwrap_or_else(|e| panic!("{what} plan isolated the input layer: {e:?}"));
-    let key_bytes: Vec<usize> = net.forward_all(x).iter().map(Tensor::bytes).collect();
-    let replay = expected_residency(&plan, &bounds, &key_bytes, net.len())
-        .unwrap_or_else(|e| panic!("{what} plan must be bridgeable: {e:?}"));
-    Bridged {
-        plan,
-        bounds,
-        key_bytes,
-        replay,
-    }
-}
 
 /// Wall-clock milliseconds of one call of `step`.
 fn ms<T>(step: &mut impl FnMut() -> T) -> f64 {
@@ -258,21 +210,13 @@ fn main() {
         // pushes its plan toward recompute instead.
         let capacity = (graph.peak_footprint(batch, &MemoryParams::exact()) as f64 * 0.65) as u64;
         let node = NodeSpec::toy(GpuSpec::toy(capacity, 5.0e9), LinkSpec::toy(link_bw));
-        // Cuts at graph layer 1 are excluded — they would isolate the
-        // input layer, which the executor cannot realize.
         let mut cfg = OptConfig::fast(17);
-        cfg.min_cut_layer = 2;
         cfg.max_cut_candidates = 5;
-        let Bridged {
-            plan,
-            bounds: net_bounds,
-            key_bytes,
-            replay,
-        } = plan_and_bridge(&graph, batch, &node, &cfg, &net, &x, "planner");
+        let planned = plan_net(&graph, batch, &node, &cfg).expect("planner plan must map");
+        let (bridged, replay) = planned.lower(&net, &x).expect("planner plan must lower");
+        let (plan, net_bounds) = (&planned.plan, &planned.bounds);
         let blocks = plan.n_blocks;
         let budget = replay.peak_bytes;
-        let bridged =
-            lower_plan(&plan, &net_bounds, budget, net.len()).expect("planner plan must lower");
         // The pre-bridge baseline keeps every boundary resident, so it
         // cannot run inside the plan's modeled peak — give it headroom
         // and record the peak it actually needs.
@@ -411,11 +355,11 @@ fn main() {
         // bridge, and time full data-parallel steps (2 worker replicas
         // at the same per-worker batch, grouped phased exchange).
         let workers = 2usize;
-        let grad_bytes = block_grad_bytes(&net, &net_bounds);
+        let grad_bytes = block_grad_bytes(&net, net_bounds);
         let model = AllReduceModel::new(AllReduceAlgo::Hierarchical, &ClusterSpec::abci(2));
         let mut dist_plan = plan.clone();
         append_exchange_ops(&mut dist_plan, &PhasedExchange::plan(&grad_bytes, &model));
-        let (dist_exec, xchg) = lower_dist_plan(&dist_plan, &net_bounds, budget, net.len())
+        let (dist_exec, xchg) = lower_dist_plan(&dist_plan, net_bounds, budget, net.len())
             .expect("distributed plan must lower");
         let dp_data =
             SyntheticDataset::classification(workers * batch, 1, 16, 4, seed.wrapping_add(1));
@@ -443,17 +387,8 @@ fn main() {
         // transfer-bound plans (see the mode list above).
         let (dist_ms, ref_col) = if s_br.swap_in_ops > 0 {
             let (x_g, y_g) = dp_data.batch(0, workers * batch);
-            let r = plan_and_bridge(
-                &graph,
-                workers * batch,
-                &node,
-                &cfg,
-                &net,
-                &x_g,
-                "reference",
-            );
-            let exec_ref = lower_plan(&r.plan, &r.bounds, r.replay.peak_bytes, net.len())
-                .expect("reference plan must lower");
+            let r = plan_net(&graph, workers * batch, &node, &cfg).expect("reference must map");
+            let (exec_ref, _) = r.lower(&net, &x_g).expect("reference plan must lower");
             let mut ref_net = make_net();
             // Warm-up doubles as the stats probe.
             let (_, g0, s_ref) = exec_ref.grad_step(&ref_net, &x_g, &y_g, |_, _| {});
@@ -489,11 +424,12 @@ fn main() {
         // routing must leave the near side and the arithmetic untouched.
         let parked = replay.peak_tier_bytes[0];
         let tiers = vec![TierSpec::host(parked / 2), TierSpec::nvme(usize::MAX)];
-        let tiered = lower_plan_tiered(&plan, &net_bounds, budget, net.len(), &key_bytes, &tiers)
+        let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+        let tiered = lower_plan_tiered(plan, net_bounds, budget, net.len(), &key_bytes, &tiers)
             .expect("an unbounded last tier keeps the stack feasible");
         let treplay = expected_residency_tiered(
-            &plan,
-            &net_bounds,
+            plan,
+            net_bounds,
             &key_bytes,
             net.len(),
             tiered.tier_of(),
@@ -576,17 +512,18 @@ fn main() {
             let state_bytes = graph.total_params() * 12; // fp32 weights + grads + momentum
             let zero_cap = zero_effective_capacity(capacity, state_bytes, workers);
             let node_z = NodeSpec::toy(GpuSpec::toy(zero_cap, 5.0e9), LinkSpec::toy(link_bw));
-            let z = plan_and_bridge(&graph, batch, &node_z, &cfg, &net, &x, "zero");
+            let z = plan_net(&graph, batch, &node_z, &cfg).expect("zero plan must map");
+            let (_, z_replay) = z.lower(&net, &x).expect("zero plan must replay");
             let mut plan_z = z.plan.clone();
             let gb_z = block_grad_bytes(&net, &z.bounds);
             append_exchange_ops(&mut plan_z, &PhasedExchange::plan(&gb_z, &model));
             let (exec_z, xchg_z) =
-                lower_dist_plan(&plan_z, &z.bounds, z.replay.peak_bytes, net.len())
+                lower_dist_plan(&plan_z, &z.bounds, z_replay.peak_bytes, net.len())
                     .expect("zero plan must lower");
             let mut nets_z: Vec<Sequential> = (0..workers).map(|_| make_net()).collect();
             let report_z = train(&mut nets_z, &exec_z, &xchg_z, &dp_data, batch, 0.05, 1);
             assert_eq!(
-                report_z.peak_near_bytes, z.replay.peak_bytes,
+                report_z.peak_near_bytes, z_replay.peak_bytes,
                 "zero: per-worker peak != modeled peak"
             );
             assert!(

@@ -40,10 +40,12 @@ pub struct OptConfig {
     /// RNG seed.
     pub seed: u64,
     /// Smallest allowed cut position (layer index). The default `1`
-    /// admits every cut; set `2` when the plan will be lowered onto the
-    /// runtime executor — graph layer 0 is the model input, and a cut at
-    /// position 1 would open an input-only block with no executable
-    /// analogue (`karma-runtime::bridge` rejects such boundaries).
+    /// admits every cut. Plans for the runtime executor come from
+    /// `karma_runtime::bridge::plan_net`, which raises this to `2` itself:
+    /// graph layer 0 is the model input, and a cut at position 1 would
+    /// open an input-only block with no executable analogue. The field
+    /// stays only because `benchmark/src/workloads.rs` still sets it (as
+    /// does the Fig. 5 grid test, which plans graphs that have no net).
     pub min_cut_layer: usize,
     /// Reuse evaluations of repeated cut genomes: in-batch deduplication in
     /// the ACO plus a cross-generation memo cache around plan construction

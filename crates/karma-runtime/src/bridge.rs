@@ -1,5 +1,11 @@
 //! The plan→runtime bridge: execute what the planner planned.
 //!
+//! [`plan_net`] is the one executable planning pipeline (paper Fig. 1,
+//! steps 1–5): profile a `ModelGraph`, search its blocking, refine
+//! recompute and build the capacity-based plan, with boundaries mapped
+//! onto the executable net; [`NetPlan::lower`] then sizes the
+//! near-memory budget from the plan's own residency replay and lowers it.
+//!
 //! [`lower_plan`] turns a validated `karma-core` [`Plan`] into a configured
 //! [`OocExecutor`]: per-block [`BlockPolicy`] assignment plus the plan's
 //! exact eviction order and prefetch schedule (via
@@ -53,9 +59,15 @@ use karma_core::bridge::{
     assign_tiers, lower_to_runtime, BoundaryPolicy, LoweredPolicy, RuntimeLowerError,
     RuntimeSchedule, TierPolicy,
 };
-use karma_core::cost::BlockCosts;
+use karma_core::capacity::{build_training_plan, CapacityPlanOptions};
+use karma_core::cost::{BlockCosts, LayerCostTable};
 use karma_core::occupancy::OccupancyModel;
+use karma_core::opt::{optimize_blocking, refine_recompute, OptConfig};
 use karma_core::plan::{OpKind, Plan};
+use karma_graph::{MemoryParams, ModelGraph};
+use karma_hw::NodeSpec;
+use karma_sim::ModelProfile;
+use karma_tensor::{Sequential, Tensor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -135,6 +147,95 @@ impl fmt::Display for BridgeError {
 }
 
 impl std::error::Error for BridgeError {}
+
+/// A capacity-based plan searched for an executable net: what
+/// [`plan_net`] returns and [`NetPlan::lower`] executes.
+#[derive(Debug, Clone)]
+pub struct NetPlan {
+    /// The `karma_with_recompute` plan (single-device ops only; append
+    /// `AR`/`U` ops to a copy for a distributed run).
+    pub plan: Plan,
+    /// The block costs the plan was built and priced on.
+    pub costs: BlockCosts,
+    /// Start layer of each block in net-layer space.
+    pub bounds: Vec<usize>,
+}
+
+/// Profile `graph` at `batch` on `node` under [`MemoryParams::exact`],
+/// search its blocking with `cfg`, refine recompute and build the
+/// `karma_with_recompute` capacity plan — paper Fig. 1 steps 1–5 — with
+/// the boundaries mapped onto the net `graph` mirrors. Cuts at graph
+/// layer 1 would isolate the input layer, which has no executable
+/// analogue, so the search never considers them whatever
+/// `cfg.min_cut_layer` says.
+///
+/// ```
+/// use karma_core::opt::OptConfig;
+/// use karma_core::plan::OpKind;
+/// use karma_graph::MemoryParams;
+/// use karma_hw::{GpuSpec, LinkSpec, NodeSpec};
+/// use karma_runtime::bridge::plan_net;
+/// use karma_tensor::{conv_stack, SyntheticDataset};
+/// use karma_zoo::micro::conv_stack_graph;
+///
+/// // Plan for a device holding 65% of the model's peak footprint. The
+/// // graph mirrors the executable net, so the planner's bytes are the
+/// // executor's bytes.
+/// let graph = conv_stack_graph(6, 4);
+/// let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
+/// let gpu = GpuSpec::toy((need * 0.65) as u64, 5.0e9);
+/// let node = NodeSpec::toy(gpu, LinkSpec::toy(4.0e9));
+/// let planned = plan_net(&graph, 16, &node, &OptConfig::fast(17))?;
+///
+/// // Lower at the plan's replayed peak and run a real training step.
+/// let mut net = conv_stack(6, 4, 11);
+/// let (x, y) = SyntheticDataset::classification(32, 1, 16, 4, 7).batch(0, 16);
+/// let (exec, replay) = planned.lower(&net, &x)?;
+/// let (_loss, stats) = exec.train_step(&mut net, &x, &y, 0.05);
+/// assert_eq!(stats.swap_in_ops, planned.plan.count(OpKind::SwapIn));
+/// assert_eq!(stats.recompute_ops, planned.plan.count(OpKind::Recompute));
+/// assert_eq!(stats.peak_near_bytes, replay.peak_bytes);
+/// # Ok::<(), karma_runtime::bridge::BridgeError>(())
+/// ```
+pub fn plan_net(
+    graph: &ModelGraph,
+    batch: usize,
+    node: &NodeSpec,
+    cfg: &OptConfig,
+) -> Result<NetPlan, BridgeError> {
+    let profile = ModelProfile::collect(graph, batch, &node.gpu, &MemoryParams::exact());
+    let table = LayerCostTable::from_profile(&profile, node);
+    let mut cfg = cfg.clone();
+    cfg.min_cut_layer = cfg.min_cut_layer.max(2);
+    let cuts = optimize_blocking(&table, &cfg);
+    let bounds = graph_boundaries_to_net(&cuts)?;
+    let costs = table.block_costs(&cuts);
+    let rc = refine_recompute(&costs);
+    let plan = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc)).plan;
+    Ok(NetPlan {
+        plan,
+        costs,
+        bounds,
+    })
+}
+
+impl NetPlan {
+    /// Replay the plan on `net`'s activations of `x` and lower it onto an
+    /// executor whose near-memory budget is the replay's peak — the
+    /// tightest budget the schedule runs in, so an executed step peaks at
+    /// exactly `replay.peak_bytes`. A net the boundaries do not fit comes
+    /// back as a typed [`BridgeError`].
+    pub fn lower(
+        &self,
+        net: &Sequential,
+        x: &Tensor,
+    ) -> Result<(OocExecutor, ResidencyReplay), BridgeError> {
+        let key_bytes: Vec<usize> = net.forward_all(x).iter().map(Tensor::bytes).collect();
+        let replay = expected_residency(&self.plan, &self.bounds, &key_bytes, net.len())?;
+        let exec = lower_plan(&self.plan, &self.bounds, replay.peak_bytes, net.len())?;
+        Ok((exec, replay))
+    }
+}
 
 fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Result<(), BridgeError> {
     if boundaries.len() != plan.n_blocks {
@@ -346,8 +447,7 @@ pub fn lower_dist_plan(
 /// parameter shapes (one gradient tensor per parameter, identical
 /// shape), so no training step is needed; [`expected_exchange`] and the
 /// MG-WFBP grouping both consume this.
-pub fn block_grad_bytes(net: &karma_tensor::Sequential, boundaries: &[usize]) -> Vec<u64> {
-    use karma_tensor::Tensor;
+pub fn block_grad_bytes(net: &Sequential, boundaries: &[usize]) -> Vec<u64> {
     let layer_bytes: Vec<u64> = net
         .layers
         .iter()
@@ -1327,5 +1427,52 @@ mod tests {
             graph_boundaries_to_net(&[0, 1, 4]),
             Err(BridgeError::LeadingInputBlock)
         );
+    }
+
+    fn toy_node(graph: &ModelGraph, batch: usize, frac: f64) -> NodeSpec {
+        let need = graph.peak_footprint(batch, &MemoryParams::exact()) as f64;
+        let gpu = karma_hw::GpuSpec::toy((need * frac) as u64, 5.0e9);
+        NodeSpec::toy(gpu, karma_hw::LinkSpec::toy(4.0e9))
+    }
+
+    #[test]
+    fn plan_net_applies_the_cut_rule_for_any_config() {
+        // Plain `OptConfig::fast` admits a cut at graph layer 1; on this
+        // graph the bare search takes it in some cells, and `plan_net`
+        // must still return boundaries that lower and execute at exactly
+        // the replayed peak in every cell.
+        let graph = karma_zoo::micro::conv_stack_graph(6, 4);
+        let net = karma_tensor::conv_stack(6, 4, 11);
+        let (x, y) = SyntheticDataset::classification(32, 1, 16, 4, 21).batch(0, 16);
+        let mut isolating = 0;
+        for seed in [1, 2, 17] {
+            for frac in [0.5, 0.65, 0.8] {
+                let (node, cfg) = (toy_node(&graph, 16, frac), OptConfig::fast(seed));
+                assert_eq!(cfg.min_cut_layer, 1);
+                let profile = ModelProfile::collect(&graph, 16, &node.gpu, &MemoryParams::exact());
+                let table = LayerCostTable::from_profile(&profile, &node);
+                isolating += usize::from(optimize_blocking(&table, &cfg).get(1) == Some(&1));
+                let cell = format!("seed {seed}, frac {frac}");
+                let planned = plan_net(&graph, 16, &node, &cfg).expect(&cell);
+                let (exec, replay) = planned.lower(&net, &x).expect(&cell);
+                let (_, _, stats) = exec.grad_step(&net, &x, &y, |_, _| {});
+                assert_eq!(stats.peak_near_bytes, replay.peak_bytes, "{cell}");
+            }
+        }
+        assert!(isolating > 0, "no cell exercised the cut rule");
+    }
+
+    #[test]
+    fn lowering_onto_a_too_short_net_is_typed() {
+        let graph = karma_zoo::micro::conv_stack_graph(6, 4);
+        let node = toy_node(&graph, 16, 0.65);
+        let planned = plan_net(&graph, 16, &node, &OptConfig::fast(17)).expect("the stack plans");
+        let short = karma_tensor::conv_stack(1, 4, 11);
+        assert!(*planned.bounds.last().unwrap() >= short.len());
+        let (x, _) = SyntheticDataset::classification(16, 1, 16, 4, 21).batch(0, 16);
+        assert!(matches!(
+            planned.lower(&short, &x),
+            Err(BridgeError::InvalidBoundaries(_))
+        ));
     }
 }

@@ -22,9 +22,11 @@
 //!   blocks finish backward, overlapping aggregation with the remaining
 //!   backward/swap work, pinned bitwise against sequential single-thread
 //!   oracles ([`dp::train_reference`], [`dp::train_churn_reference`]);
-//! * [`bridge`] — the plan→runtime lowering: a validated `karma-core`
-//!   `Plan` becomes a configured [`exec::OocExecutor`] (policies, eviction
-//!   order, prefetch schedule) plus, for distributed plans, the
+//! * [`bridge`] — the executable planning pipeline and the plan→runtime
+//!   lowering: [`bridge::plan_net`] profiles, searches and plans a model
+//!   for its executable net, and a validated `karma-core` `Plan` becomes
+//!   a configured [`exec::OocExecutor`] (policies, eviction order,
+//!   prefetch schedule) plus, for distributed plans, the
 //!   [`dp::ExchangeSchedule`] its `AR`/`U` ops prescribe — with residency
 //!   and exchange replays predicting the executed trajectory, message
 //!   count, and shipped bytes exactly;
@@ -38,7 +40,9 @@
 //! `karma-tensor`. The parity-critical modules ([`store`], [`exec`],
 //! [`dp`]) stay independent of the analysis stack so parity
 //! results cannot be contaminated by the models they validate; only
-//! [`bridge`] links `karma-core`, and only to *consume* plans.
+//! [`bridge`] links the analysis crates (`karma-core`, `karma-sim`,
+//! `karma-graph`, `karma-hw`): it runs the profile → search → plan
+//! pipeline ([`bridge::plan_net`]) and consumes the plans it yields.
 
 pub mod bridge;
 pub mod dp;
@@ -50,8 +54,9 @@ pub mod store;
 pub use bridge::{
     block_grad_bytes, expected_exchange, expected_exchange_timing, expected_residency,
     expected_residency_tiered, expected_residency_tiered_as, expected_swap_timing,
-    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered, BridgeError,
-    ExchangeReplay, ExchangeTiming, ResidencyReplay, SwapAccounting, SwapTiming, SwapTransfer,
+    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered, plan_net, BridgeError,
+    ExchangeReplay, ExchangeTiming, NetPlan, ResidencyReplay, SwapAccounting, SwapTiming,
+    SwapTransfer,
 };
 pub use dp::{
     train, train_churn_reference, train_reference, train_with_buffers, ChurnConfig,

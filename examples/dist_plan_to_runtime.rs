@@ -7,55 +7,41 @@
 //!
 //! Run with: `cargo run --release --example dist_plan_to_runtime`
 
-use karma::core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma::core::cost::LayerCostTable;
 use karma::core::lower_to_runtime;
-use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma::core::opt::OptConfig;
 use karma::dist::append_exchange_ops;
 use karma::graph::MemoryParams;
 use karma::hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 use karma::net::{AllReduceAlgo, AllReduceModel, PhasedExchange};
 use karma::runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_exchange_timing, expected_residency,
-    graph_boundaries_to_net, lower_dist_plan,
+    block_grad_bytes, expected_exchange, expected_exchange_timing, lower_dist_plan, plan_net,
 };
 use karma::runtime::dp::train;
-use karma::sim::ModelProfile;
-use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
+use karma::tensor::{conv_stack, Sequential, SyntheticDataset};
 
 fn main() {
     let data = SyntheticDataset::classification(128, 1, 16, 4, 7);
     let (workers, per_worker, steps) = (2usize, 8usize, 2usize);
 
-    // Steps 1-2: offline profile on a device that cannot hold the model
-    // (the graph is the zoo's mirror of the executable net).
+    // Steps 1-5 on a device that cannot hold the model (the graph is the
+    // zoo's mirror of the executable net): the per-worker schedule every
+    // replica runs.
     let graph = karma::zoo::micro::conv_stack_graph(6, 4);
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
-
-    // Steps 3-5: blocking search, recompute refinement, plan generation —
-    // the per-worker schedule every replica runs.
     let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2; // an input-only block has no executable analogue
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("realizable boundaries");
+    let cp = plan_net(&graph, 16, &node, &cfg).expect("realizable boundaries");
 
     // Stage 4 (Sec. III-G): group the exchange over *real* per-block
     // gradient sizes with the α–β AllReduce model, then append one AR
     // (+ CPU-side update) per group, gated on its last member's backward.
     let net = conv_stack(6, 4, 11);
     let (x, _) = data.batch(0, per_worker);
-    let grad_bytes = block_grad_bytes(&net, &net_bounds);
+    let grad_bytes = block_grad_bytes(&net, &cp.bounds);
     // A toy 2-node cluster whose per-message latency sits between one
     // block's gradients and the whole model's: the MG-WFBP merge then
     // produces real multi-block groups (on ABCI-scale links these
@@ -87,10 +73,9 @@ fn main() {
             g.overlap_backwards()
         );
     }
-    let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
-    let replay = expected_residency(&plan, &net_bounds, &key_bytes, net.len()).unwrap();
+    let (_, replay) = cp.lower(&net, &x).expect("replayable plan");
     let (exec, xchg) =
-        lower_dist_plan(&plan, &net_bounds, replay.peak_bytes, net.len()).expect("lowers");
+        lower_dist_plan(&plan, &cp.bounds, replay.peak_bytes, net.len()).expect("lowers");
 
     // Predict the exchange, then run it for real on worker threads.
     let exchange = expected_exchange(&plan, &grad_bytes, workers, steps).unwrap();
@@ -114,7 +99,7 @@ fn main() {
     // transport records the instants the run actually hit. Modeled time
     // is planner seconds, measured time is this machine's — the shapes
     // correspond, the units do not.
-    let timing = expected_exchange_timing(&plan, &costs, &grad_bytes, 3.0e-7, 1.0e-9)
+    let timing = expected_exchange_timing(&plan, &cp.costs, &grad_bytes, 3.0e-7, 1.0e-9)
         .expect("distributed plan prices");
     println!(
         "modeled   : backward {:.4} s, exchange tail past it {:.4} s",

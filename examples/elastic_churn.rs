@@ -10,18 +10,15 @@
 //!
 //! Run with: `cargo run --release --example elastic_churn`
 
-use karma::core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma::core::cost::LayerCostTable;
-use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma::core::opt::OptConfig;
 use karma::dist::append_exchange_ops;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::net::{ExchangeGroup, PhasedExchange};
-use karma::runtime::bridge::{block_grad_bytes, expected_residency, graph_boundaries_to_net};
+use karma::runtime::bridge::{block_grad_bytes, plan_net};
 use karma::runtime::elastic::{Checkpoint, ElasticDriver, ElasticOptions, PoolEvent};
 use karma::runtime::{TierSpec, TierStack};
-use karma::sim::ModelProfile;
-use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
+use karma::tensor::{conv_stack, Sequential, SyntheticDataset};
 
 fn fresh_net() -> Sequential {
     conv_stack(6, 4, 11)
@@ -34,27 +31,19 @@ fn main() {
     // Profile → plan the per-worker out-of-core schedule on a device
     // that cannot hold the model (same pipeline as the other examples).
     let graph = karma::zoo::micro::conv_stack_graph(6, 4);
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
     let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2;
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("realizable boundaries");
+    let cp = plan_net(&graph, 16, &node, &cfg).expect("realizable boundaries");
 
     // A two-group phased exchange, so "mid-exchange" is a real place for
     // a worker to die: group 0 ships at its gate, group 1 never does.
     let net = fresh_net();
-    let grad_bytes = block_grad_bytes(&net, &net_bounds);
+    let grad_bytes = block_grad_bytes(&net, &cp.bounds);
     let mid = grad_bytes.len() / 2;
     let group = |range: std::ops::Range<usize>| ExchangeGroup {
         blocks: range.clone().rev().collect(),
@@ -63,15 +52,13 @@ fn main() {
     let phased = PhasedExchange {
         groups: vec![group(mid..grad_bytes.len()), group(0..mid)],
     };
+    let (x, _) = data.batch(0, per_worker);
+    let (_, replay) = cp.lower(&net, &x).expect("replayable plan");
     let mut plan = cp.plan;
     append_exchange_ops(&mut plan, &phased);
 
-    let (x, _) = data.batch(0, per_worker);
-    let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
-    let replay = expected_residency(&plan, &net_bounds, &key_bytes, net.len()).unwrap();
-
     // The elastic driver re-lowers this plan on every pool change.
-    let driver = ElasticDriver::from_plan(plan, net_bounds, replay.peak_bytes, net.len());
+    let driver = ElasticDriver::from_plan(plan, cp.bounds, replay.peak_bytes, net.len());
 
     // The churn schedule: rank 1 dies at step 2 after shipping one of
     // the two exchange groups; two fresh workers join before step 4.

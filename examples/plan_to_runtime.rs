@@ -5,55 +5,38 @@
 //!
 //! Run with: `cargo run --example plan_to_runtime`
 
-use karma::core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma::core::cost::LayerCostTable;
-use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma::core::opt::OptConfig;
 use karma::core::plan::OpKind;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
-use karma::runtime::bridge::{expected_residency, graph_boundaries_to_net, lower_plan};
-use karma::sim::ModelProfile;
-use karma::tensor::{conv_stack, SyntheticDataset, Tensor};
+use karma::runtime::bridge::plan_net;
+use karma::tensor::{conv_stack, SyntheticDataset};
 
 fn main() {
     let mut net = conv_stack(6, 4, 11);
     let data = SyntheticDataset::classification(32, 1, 16, 4, 7);
     let (x, y) = data.batch(0, 16);
 
-    // Steps 1-2: offline profile on a device that cannot hold the model.
-    // The graph is the zoo's mirror of the executable net, so the
-    // planner's bytes are the executor's bytes.
+    // Steps 1-5 on a device that cannot hold the model: profile, blocking
+    // search, recompute refinement, plan generation. The graph is the
+    // zoo's mirror of the executable net, so the planner's bytes are the
+    // executor's bytes.
     let graph = karma::zoo::micro::conv_stack_graph(6, 4);
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
-
-    // Steps 3-5: blocking search, recompute refinement, plan generation.
-    // (min_cut_layer = 2: an input-only block has no executable analogue.)
+    // Coarse cuts only: multi-layer blocks carry real interiors, so the
+    // executed swaps/recomputes move actual bytes.
     let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2; // an input-only block has no executable analogue
-                           // Coarse cuts only: multi-layer blocks carry real interiors, so the
-                           // executed swaps/recomputes move actual bytes.
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
+    let cp = plan_net(&graph, 16, &node, &cfg).expect("realizable boundaries");
     println!("plan      : {}", cp.plan.notation());
 
     // Bridge: lower the plan onto the out-of-core executor and size the
     // near-memory budget from the plan's own residency replay.
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("realizable boundaries");
-    let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
-    let replay =
-        expected_residency(&cp.plan, &net_bounds, &key_bytes, net.len()).expect("replayable plan");
-    let exec = lower_plan(&cp.plan, &net_bounds, replay.peak_bytes, net.len())
-        .expect("plan lowers to the executor");
+    let (exec, replay) = cp.lower(&net, &x).expect("plan lowers to the executor");
     println!(
         "executor  : {} blocks, budget {} B, prefetch {:?}",
         exec.n_blocks(),

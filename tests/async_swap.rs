@@ -18,18 +18,15 @@
 //! * **poisoning** — a mid-transfer panic poisons its lane and the
 //!   engine refuses further steps instead of publishing partial copies.
 
-use karma::core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma::core::cost::LayerCostTable;
-use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma::core::opt::OptConfig;
 use karma::core::plan::Plan;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
-    expected_residency, expected_residency_tiered, expected_residency_tiered_as,
-    graph_boundaries_to_net, lower_plan, lower_plan_tiered, SwapAccounting,
+    expected_residency, expected_residency_tiered, expected_residency_tiered_as, lower_plan,
+    lower_plan_tiered, plan_net, SwapAccounting,
 };
 use karma::runtime::TierSpec;
-use karma::sim::ModelProfile;
 use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
 use proptest::prelude::*;
 
@@ -42,23 +39,15 @@ fn fresh_net() -> Sequential {
 /// `tests/elastic_churn.rs`).
 fn plan_conv_stack() -> (Plan, Vec<usize>) {
     let graph = karma::zoo::micro::conv_stack_graph(6, 4);
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
     let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2;
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("min_cut_layer=2 forbids cut 1");
-    (cp.plan, net_bounds)
+    let p = plan_net(&graph, 16, &node, &cfg).expect("the conv stack plans");
+    (p.plan, p.bounds)
 }
 
 fn batch() -> (karma::tensor::Tensor, Vec<usize>) {

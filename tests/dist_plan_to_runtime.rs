@@ -22,21 +22,17 @@
 //!   sharded workload (`dp::train_reference`), at any worker or thread
 //!   count: grouping and parallelism move messages, never arithmetic.
 
-use karma::core::capacity::{build_training_plan, CapacityPlanOptions};
-use karma::core::cost::LayerCostTable;
 use karma::core::lower_to_runtime;
-use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
+use karma::core::opt::OptConfig;
 use karma::core::plan::Plan;
 use karma::dist::append_exchange_ops;
 use karma::graph::MemoryParams;
 use karma::hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 use karma::net::{AllReduceAlgo, AllReduceModel, ExchangeGroup, PhasedExchange};
 use karma::runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_residency, graph_boundaries_to_net,
-    lower_dist_plan,
+    block_grad_bytes, expected_exchange, expected_residency, lower_dist_plan, plan_net,
 };
 use karma::runtime::dp::{train, train_reference};
-use karma::sim::ModelProfile;
 use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
 
 fn dataset() -> SyntheticDataset {
@@ -51,23 +47,15 @@ fn fresh_net() -> Sequential {
 /// device (same setup as `tests/plan_to_runtime.rs`).
 fn plan_conv_stack() -> (Plan, Vec<usize>) {
     let graph = karma::zoo::micro::conv_stack_graph(6, 4);
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
     let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2;
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("min_cut_layer=2 forbids cut 1");
-    (cp.plan, net_bounds)
+    let p = plan_net(&graph, 16, &node, &cfg).expect("the conv stack plans");
+    (p.plan, p.bounds)
 }
 
 /// A guaranteed-multi-group exchange: split the blocks into two

@@ -2,9 +2,8 @@
 //! over is the schedule the runtime executes.
 //!
 //! The end-to-end path under test is the paper's actual tool flow:
-//! profile the model (`karma-sim::ModelProfile`, Fig. 1 steps 1–2), plan
-//! from the profile (`LayerCostTable::from_profile` → `optimize_blocking`
-//! → `refine_recompute` → `build_training_plan`, steps 3–5), then lower
+//! profile the model, search its blocking, refine recompute and build the
+//! plan (Fig. 1 steps 1–5, `karma_runtime::bridge::plan_net`), then lower
 //! the plan through `karma_runtime::bridge` and run a *real* training
 //! step on the tensor stack.
 //!
@@ -31,7 +30,9 @@ use karma::core::plan::OpKind;
 use karma::core::{lower_to_runtime, LoweredPolicy};
 use karma::graph::{MemoryParams, ModelGraph};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
-use karma::runtime::bridge::{expected_residency, graph_boundaries_to_net, lower_plan};
+use karma::runtime::bridge::{
+    expected_residency, graph_boundaries_to_net, lower_plan, plan_net, NetPlan,
+};
 use karma::runtime::OocExecutor;
 use karma::sim::ModelProfile;
 use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
@@ -56,34 +57,18 @@ fn setup() -> (Sequential, Tensor, Vec<usize>) {
 
 /// Profile → plan → bridge on the mirrored conv stack, forcing an
 /// out-of-core device. Returns everything the cross-checks need.
-fn plan_conv_stack(
-    link_bw: f64,
-) -> (
-    karma::core::capacity::CapacityPlan,
-    karma::core::cost::BlockCosts,
-    Vec<usize>,
-) {
+fn plan_conv_stack(link_bw: f64) -> NetPlan {
     let graph = conv_stack_graph();
-    let mem = MemoryParams::exact();
-    let need = graph.peak_footprint(16, &mem) as f64;
+    let need = graph.peak_footprint(16, &MemoryParams::exact()) as f64;
     let node = NodeSpec::toy(
         GpuSpec::toy((need * 0.65) as u64, 5.0e9),
         LinkSpec::toy(link_bw),
     );
-    let profile = ModelProfile::collect(&graph, 16, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
+    // Coarse cuts only, so multi-layer blocks carry real interiors and
+    // the executed swaps/recomputes move actual bytes.
     let mut cfg = OptConfig::fast(17);
-    // An input-only block has no executable analogue; coarse cuts only, so
-    // multi-layer blocks carry real interiors and the executed
-    // swaps/recomputes move actual bytes.
-    cfg.min_cut_layer = 2;
     cfg.max_cut_candidates = 5;
-    let bounds = optimize_blocking(&table, &cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("min_cut_layer=2 forbids cut 1");
-    (cp, costs, net_bounds)
+    plan_net(&graph, 16, &node, &cfg).expect("the conv stack plans")
 }
 
 #[test]
@@ -114,7 +99,8 @@ fn planned_plan_executes_with_sim_matching_op_counts() {
     // same plan.
     let (net, x, y) = setup();
     for link_bw in [4.0e9, 2.0e8] {
-        let (cp, costs, net_bounds) = plan_conv_stack(link_bw);
+        let cp = plan_conv_stack(link_bw);
+        let (costs, net_bounds) = (cp.costs.clone(), cp.bounds.clone());
         let (trace, metrics) = simulate_plan(&cp.plan, &costs, &LowerOptions::default());
         assert!(metrics.capacity_ok, "planner must respect capacity");
         let sim_souts = trace
@@ -216,7 +202,8 @@ fn planned_plan_executes_with_sim_matching_op_counts() {
 fn bridged_execution_is_bit_identical_to_in_core() {
     let (mut net, x, y) = setup();
     let mut reference = conv_stack(6, 4, 11);
-    let (cp, _costs, net_bounds) = plan_conv_stack(4.0e9);
+    let cp = plan_conv_stack(4.0e9);
+    let net_bounds = cp.bounds.clone();
     let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
     let replay = expected_residency(&cp.plan, &net_bounds, &key_bytes, net.len()).unwrap();
     let exec = lower_plan(&cp.plan, &net_bounds, replay.peak_bytes, net.len()).unwrap();

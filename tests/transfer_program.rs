@@ -18,41 +18,30 @@
 //!   schedule names the block at its own eviction (fetch) step, and moves
 //!   on a transfer of its own at its scheduled step otherwise.
 
-use karma::core::cost::{BlockCosts, LayerCostTable};
+use karma::core::cost::BlockCosts;
 use karma::core::plan::{OpKind, Plan};
-use karma::core::{
-    build_training_plan, lower_to_runtime, optimize_blocking, refine_recompute,
-    CapacityPlanOptions, OptConfig,
-};
+use karma::core::{lower_to_runtime, OptConfig};
 use karma::graph::{MemoryParams, ModelGraph};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
-use karma::runtime::bridge::{expected_swap_timing, graph_boundaries_to_net};
+use karma::runtime::bridge::{expected_swap_timing, plan_net};
 use karma::runtime::{ExecEvent, TierSpec};
-use karma::sim::ModelProfile;
 use karma::zoo::micro::{conv_stack_graph, mlp_stack_graph, resnet_style_graph};
 
-/// Profile → blocking → recompute refinement → capacity-builder plan on a
-/// device with `device_bytes`, as `tests/async_swap.rs::plan_conv_stack`
-/// does. Returns the plan, its costs and its net-space boundaries.
+/// `plan_net` on a device with `device_bytes`, as
+/// `tests/async_swap.rs::plan_conv_stack` does. Returns the plan, its
+/// costs and its net-space boundaries.
 fn capacity_plan(
     graph: &ModelGraph,
     batch: usize,
     device_bytes: f64,
     cfg: &OptConfig,
 ) -> (Plan, BlockCosts, Vec<usize>) {
-    let mem = MemoryParams::exact();
     let node = NodeSpec::toy(
         GpuSpec::toy(device_bytes as u64, 5.0e9),
         LinkSpec::toy(4.0e9),
     );
-    let profile = ModelProfile::collect(graph, batch, &node.gpu, &mem);
-    let table = LayerCostTable::from_profile(&profile, &node);
-    let bounds = optimize_blocking(&table, cfg);
-    let costs = table.block_costs(&bounds);
-    let rc = refine_recompute(&costs);
-    let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
-    let net_bounds = graph_boundaries_to_net(&bounds).expect("min_cut_layer=2 forbids cut 1");
-    (cp.plan, costs, net_bounds)
+    let p = plan_net(graph, batch, &node, cfg).expect("micro-zoo graphs plan");
+    (p.plan, p.costs, p.bounds)
 }
 
 /// The conv-stack plan of `tests/async_swap.rs`, then every cell of the
@@ -60,8 +49,7 @@ fn capacity_plan(
 /// on a device holding the model state plus 65% of the activations).
 fn plans() -> Vec<(String, ModelGraph, Plan, BlockCosts, Vec<usize>)> {
     let mem = MemoryParams::exact();
-    let mut cfg = OptConfig::fast(17);
-    cfg.min_cut_layer = 2;
+    let cfg = OptConfig::fast(17);
     let mut conv_cfg = cfg.clone();
     conv_cfg.max_cut_candidates = 5;
     let conv = conv_stack_graph(6, 4);
