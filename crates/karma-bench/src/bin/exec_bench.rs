@@ -37,7 +37,7 @@
 //!   two-tier offload stack (`lower_plan_tiered`: a host tier sized to
 //!   half the pooled far peak, an unbounded NVMe tier pricing each
 //!   transfer at 4 memory passes), cross-checked per tier against
-//!   `expected_residency_tiered`;
+//!   `ResidencyReplay::of` the tiered executor;
 //! * `elastic`   — the distributed plan driven by `elastic::ElasticDriver`
 //!   through one full churn cycle (a worker dies mid-exchange, the pool
 //!   re-lowers, a joiner grows it back and re-lowers again); wall time is
@@ -76,8 +76,8 @@ use karma_graph::{MemoryParams, ModelGraph};
 use karma_hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
 use karma_net::{AllReduceAlgo, AllReduceModel, PhasedExchange};
 use karma_runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_residency_tiered, lower_dist_plan,
-    lower_plan_tiered, plan_net,
+    block_grad_bytes, expected_exchange, lower_dist_plan, lower_plan_tiered, plan_net,
+    ResidencyReplay,
 };
 use karma_runtime::dp::train;
 use karma_runtime::elastic::{ElasticDriver, ElasticOptions, PoolEvent};
@@ -420,22 +420,14 @@ fn main() {
         // routed through a two-tier offload stack — a host tier sized to
         // half the pooled far peak, so roughly half the parked bytes
         // spill into the priced NVMe tier below it. The executed per-tier
-        // peaks must match `expected_residency_tiered` exactly, and
+        // peaks must match `ResidencyReplay::of` exactly, and
         // routing must leave the near side and the arithmetic untouched.
         let parked = replay.peak_tier_bytes[0];
         let tiers = vec![TierSpec::host(parked / 2), TierSpec::nvme(usize::MAX)];
         let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
         let tiered = lower_plan_tiered(plan, net_bounds, budget, net.len(), &key_bytes, &tiers)
             .expect("an unbounded last tier keeps the stack feasible");
-        let treplay = expected_residency_tiered(
-            plan,
-            net_bounds,
-            &key_bytes,
-            net.len(),
-            tiered.tier_of(),
-            tiers.len(),
-        )
-        .expect("tiered plan must replay");
+        let treplay = ResidencyReplay::of(&tiered, &key_bytes).expect("tiered plan must replay");
         let (tier_loss, _, s_tier) = tiered.grad_step(&net, &x, &y, |_, _| {});
         let tier_ms = Samples::of(runs, || tiered.grad_step(&net, &x, &y, |_, _| {})).median();
         assert_eq!(

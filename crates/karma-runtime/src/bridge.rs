@@ -20,9 +20,11 @@
 //! with real worker threads and a grouped, overlap-friendly gradient
 //! exchange.
 //!
-//! [`expected_residency`] replays a plan's block-level ops against real
-//! per-activation byte sizes and predicts the executor's near-memory
-//! trajectory sample by sample; [`expected_exchange`] does the same for
+//! [`ResidencyReplay::of`] replays a lowered executor's transfer program
+//! against real per-activation byte sizes and predicts its near- and
+//! far-memory trajectory sample by sample, on whatever tiers and I/O
+//! lanes it runs ([`expected_residency`] is that replay of a plan's
+//! [`lower_plan`] executor); [`expected_exchange`] does the same for
 //! the distributed half, predicting message count and bytes-per-group
 //! exactly. Together with the op counts in [`crate::OocStats`] this
 //! closes the loop the paper's Sec. IV claims: the schedule the planner
@@ -94,8 +96,8 @@ pub enum BridgeError {
     /// A planner boundary in graph-layer space would open a block holding
     /// only the input layer, which has no executable analogue.
     LeadingInputBlock,
-    /// `expected_residency` needs one byte size per near-memory key
-    /// (input + every layer output).
+    /// A byte-priced replay or lowering needs one byte size per
+    /// near-memory key (input + every layer output).
     KeyBytesLength {
         /// `n_layers + 1`.
         expected: usize,
@@ -109,8 +111,8 @@ pub enum BridgeError {
         /// What was passed.
         got: usize,
     },
-    /// A tiered replay's routing vector is malformed: wrong length, a
-    /// tier index beyond the stack, or an empty stack.
+    /// [`expected_swap_timing`]'s routing vector is malformed: wrong
+    /// length or a tier index beyond the stack.
     TierRouting(String),
 }
 
@@ -308,7 +310,7 @@ pub fn lower_plan(
 /// out-of-device interval into the fastest tier with room
 /// ([`karma_core::bridge::assign_tiers`]), then route the executor's
 /// transfers accordingly ([`OocExecutor::with_tiers`]). `key_bytes[k]`
-/// prices near-memory key `k` exactly as in [`expected_residency`] —
+/// prices near-memory key `k` exactly as in [`ResidencyReplay::of`] —
 /// interval packing and the residency replay see the same bytes, so a
 /// stack that lowers here cannot overflow a tier at run time. Stacks with
 /// no room for some block come back as
@@ -346,9 +348,8 @@ pub fn lower_plan_tiered(
 }
 
 /// Lower `plan` onto an executor over `boundaries` and check that
-/// `key_bytes` sizes every near-memory key (the input and each layer's
-/// output): the shared front of every entry point that prices bytes, so
-/// each answers the same malformed input with the same typed error.
+/// `key_bytes` sizes its near-memory keys: the shared front of the
+/// plan-level entry points that price bytes.
 fn lower_priced(
     plan: &Plan,
     boundaries: &[usize],
@@ -358,21 +359,27 @@ fn lower_priced(
 ) -> Result<(RuntimeSchedule, OocExecutor), BridgeError> {
     let sched = lower_to_runtime(plan)?;
     let exec = build_executor(&sched, plan, boundaries, budget, n_layers)?;
+    check_key_bytes(key_bytes, n_layers)?;
+    Ok((sched, exec))
+}
+
+/// Check that `key_bytes` sizes every near-memory key of an
+/// `n_layers`-layer net (the input and each layer's output), so every
+/// entry point that prices bytes answers a malformed vector with the same
+/// typed error.
+fn check_key_bytes(key_bytes: &[usize], n_layers: usize) -> Result<(), BridgeError> {
     if key_bytes.len() != n_layers + 1 {
         return Err(BridgeError::KeyBytesLength {
             expected: n_layers + 1,
             got: key_bytes.len(),
         });
     }
-    Ok((sched, exec))
+    Ok(())
 }
 
-/// Check a replay's tier routing: one in-range tier per block of a
-/// non-empty stack.
+/// Check [`expected_swap_timing`]'s tier routing: one in-range tier per
+/// block.
 fn check_routing(plan: &Plan, tier_of: &[usize], n_tiers: usize) -> Result<(), BridgeError> {
-    if n_tiers == 0 {
-        return Err(BridgeError::TierRouting("empty tier stack".into()));
-    }
     if tier_of.len() != plan.n_blocks {
         return Err(BridgeError::TierRouting(format!(
             "need one tier per block: {} blocks, {} routes",
@@ -647,8 +654,8 @@ pub struct SwapTransfer {
     pub step: usize,
     /// The far tier the bytes move to/from (`tier_of[block]`).
     pub tier: usize,
-    /// The I/O lane the transfer runs on (`block % lanes`; 0 when
-    /// transfers run inline).
+    /// The I/O lane the transfer runs on (`block % lanes`, the engine's
+    /// rule; 0 when transfers run inline).
     pub lane: usize,
     /// Payload bytes.
     pub bytes: u64,
@@ -730,7 +737,7 @@ pub fn expected_swap_timing(
     }
     // The executor is never run: only its transfer program is read.
     let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
-    let program = TransferProgram::new(&exec);
+    let program = TransferProgram::new(&exec.with_tiers(tiers.to_vec(), tier_of.to_vec()));
     let n = plan.n_blocks;
 
     // Compute timeline. Forward step b retires at the forward prefix sum;
@@ -763,19 +770,18 @@ pub fn expected_swap_timing(
         // Swap-outs are due when the step retires (the engine drains
         // them at the end); fetches by their deadline step's compute.
         let due = t.deadline.map_or(bwd_end, bwd_start);
-        let tier = tier_of[t.block];
+        let (tier, lane) = (t.tier, t.lane(lanes));
         let bytes: usize = key_bytes[t.keys.clone()].iter().sum();
         let busy = alpha
             + beta * (bytes * tiers[tier].copy_passes) as f64
             + tiers[tier].link_time(bytes).as_secs_f64();
         // An inline transfer is waited at its issue point, a lane
         // transfer at its deadline.
-        let (lane, ready, stall) = if lanes == 0 {
-            (0, issue + busy, busy)
+        let (ready, stall) = if lanes == 0 {
+            (issue + busy, busy)
         } else {
-            let lane = t.block % lanes;
             lane_free[lane] = lane_free[lane].max(issue) + busy;
-            (lane, lane_free[lane], (lane_free[lane] - due).max(0.0))
+            (lane_free[lane], (lane_free[lane] - due).max(0.0))
         };
         busy_s += busy;
         hidden_s += (busy - stall).max(0.0);
@@ -826,7 +832,7 @@ pub fn graph_boundaries_to_net(graph_bounds: &[usize]) -> Result<Vec<usize>, Bri
 /// The predicted near-memory trajectory of a bridged execution.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResidencyReplay {
-    /// One predicted sample per plan op, in issue order — what
+    /// One predicted sample per block-level event, in issue order — what
     /// [`OocExecutor::grad_step_traced`] will record.
     pub samples: Vec<ResidencySample>,
     /// The executor's near-memory high-water mark, including the
@@ -839,183 +845,140 @@ pub struct ResidencyReplay {
     pub peak_tier_bytes: Vec<usize>,
 }
 
+impl ResidencyReplay {
+    /// Replay `exec`'s step over real per-key byte sizes (`key_bytes[k]` =
+    /// bytes of near-memory key `k`: the input for `k = 0`, layer `k - 1`'s
+    /// output otherwise, so `key_bytes.len()` must be the executor's layer
+    /// count + 1): a fold of bytes over the same transfer program the
+    /// executor interprets, with each transfer on the tier the program
+    /// routes it to. Returns the exact residency trajectory, per-tier far
+    /// trajectory and high-water marks [`OocExecutor::grad_step_traced`]
+    /// will produce, whatever built the executor.
+    ///
+    /// The far tier of a fetch discharges where the engine waits for it:
+    /// at its issue point without I/O lanes, at its deadline step's
+    /// compute on [`OocExecutor::with_io_lanes`] (in-flight bytes stay
+    /// charged to the source tier). Near memory is charged at issue
+    /// either way, so `near_bytes` never depends on the lane count, and
+    /// per-tier peaks, attained during the forward sweep where both
+    /// backends charge identically, do not either.
+    pub fn of(exec: &OocExecutor, key_bytes: &[usize]) -> Result<Self, BridgeError> {
+        let n_layers = exec.n_layers();
+        check_key_bytes(key_bytes, n_layers)?;
+        let program = TransferProgram::new(exec);
+        let inline = exec.io_lanes() == 0;
+        let bytes = |keys: std::ops::Range<usize>| -> usize { key_bytes[keys].iter().sum() };
+        let mut cur = key_bytes[0]; // the input batch
+        let mut peak = cur;
+        let mut far = vec![0usize; exec.tiers().len()];
+        let mut peak_tier = far.clone();
+        // Issued fetches not yet waited: (tier, bytes, deadline step).
+        let mut in_flight: Vec<(usize, usize, Option<usize>)> = Vec::new();
+        let mut samples = Vec::with_capacity(program.ops.len());
+        for op in &program.ops {
+            let event = match op {
+                Op::Forward(b) => {
+                    // A recompute block's interiors exist only inside its
+                    // forward: the peak sees them, the sample does not.
+                    let (s, e) = program.range(*b);
+                    cur += bytes(s + 1..e + 1);
+                    peak = peak.max(cur);
+                    if program.recomputes(*b) {
+                        cur -= bytes(s + 1..e);
+                    }
+                    Some((ExecEvent::Forward, *b))
+                }
+                Op::Out(t) => {
+                    let moved = bytes(t.keys.clone());
+                    cur -= moved;
+                    far[t.tier] += moved;
+                    peak_tier[t.tier] = peak_tier[t.tier].max(far[t.tier]);
+                    Some((t.event, t.block))
+                }
+                // The executor releases the logits before the backward.
+                Op::Loss => {
+                    cur -= key_bytes[n_layers];
+                    None
+                }
+                Op::In(t) => {
+                    let moved = bytes(t.keys.clone());
+                    cur += moved;
+                    peak = peak.max(cur);
+                    in_flight.push((t.tier, moved, t.deadline));
+                    Some((t.event, t.block))
+                }
+                // The deadline wait discharges the source tier before the
+                // step's compute samples (no sample of its own: the engine
+                // blocks, it does not move near-memory bytes).
+                Op::Await(b) => {
+                    in_flight.retain(|&(tier, moved, deadline)| {
+                        let due = deadline.is_some_and(|d| d >= *b);
+                        if due {
+                            far[tier] -= moved;
+                        }
+                        !due
+                    });
+                    None
+                }
+                Op::Recompute(b) => {
+                    let (s, e) = program.range(*b);
+                    cur += bytes(s + 1..e);
+                    peak = peak.max(cur);
+                    Some((ExecEvent::Recompute, *b))
+                }
+                // Backward releases the interior plus the block's input
+                // boundary (its top boundary went with the block above).
+                Op::Backward(b) => {
+                    let (s, e) = program.range(*b);
+                    cur -= bytes(s..e);
+                    Some((ExecEvent::Backward, *b))
+                }
+            };
+            // The engine's one backend rule: an inline transfer is waited
+            // at its issue point, a lane transfer at its deadline.
+            if inline {
+                for (tier, moved, _) in in_flight.drain(..) {
+                    far[tier] -= moved;
+                }
+            }
+            if let Some((event, block)) = event {
+                samples.push(ResidencySample {
+                    event,
+                    block,
+                    near_bytes: cur,
+                    far_bytes: far.clone(),
+                });
+            }
+        }
+        Ok(ResidencyReplay {
+            samples,
+            peak_bytes: peak,
+            peak_tier_bytes: peak_tier,
+        })
+    }
+}
+
 /// Replay `plan`'s block-level ops with the executor's movement semantics
-/// over real per-key byte sizes (`key_bytes[k]` = bytes of near-memory key
-/// `k`: the input for `k = 0`, layer `k - 1`'s output otherwise, so
-/// `key_bytes.len()` must be `n_layers + 1`). Returns the exact residency
-/// trajectory and high-water mark the bridged executor will produce — the
-/// cross-check that the runtime moves precisely the bytes the plan
-/// prescribes, boundary departures included: a swapped block's swap-out
-/// carries its boundary (as a deferred [`ExecEvent::BoundaryOut`] once
-/// the consumer's forward has read it, or merged into the swap-out when
-/// the eviction is already scheduled at or after that point), and its
-/// swap-in carries the boundary back.
+/// over real per-key byte sizes (`key_bytes.len()` must be
+/// `n_layers + 1`): [`ResidencyReplay::of`] the plan's [`lower_plan`]
+/// executor, with one unbounded far tier and inline transfers. Returns
+/// the exact residency trajectory and high-water mark the bridged
+/// executor will produce — the cross-check that the runtime moves
+/// precisely the bytes the plan prescribes, boundary departures included:
+/// a swapped block's swap-out carries its boundary (as a deferred
+/// [`ExecEvent::BoundaryOut`] once the consumer's forward has read it, or
+/// merged into the swap-out when the eviction is already scheduled at or
+/// after that point), and its swap-in carries the boundary back.
 pub fn expected_residency(
     plan: &Plan,
     boundaries: &[usize],
     key_bytes: &[usize],
     n_layers: usize,
 ) -> Result<ResidencyReplay, BridgeError> {
-    expected_residency_tiered(
-        plan,
-        boundaries,
+    ResidencyReplay::of(
+        &lower_plan(plan, boundaries, usize::MAX, n_layers)?,
         key_bytes,
-        n_layers,
-        &vec![0; plan.n_blocks],
-        1,
     )
-}
-
-/// Where the residency replay discharges a fetch's far tier — the swap
-/// engine's one backend-dependent rule. Near memory is charged at issue
-/// under both, so `near_bytes` never depends on the mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SwapAccounting {
-    /// At the fetch's issue point, where an inline transfer is waited —
-    /// the trajectory of an [`OocExecutor`] without I/O lanes: a
-    /// swap-in's bytes leave the far tier on the same sample that lands
-    /// them near.
-    Synchronous,
-    /// At the fetch's deadline, where a lane transfer is waited — the
-    /// trajectory of an [`OocExecutor::with_io_lanes`] executor: the
-    /// bytes stay charged to the *source* tier while in flight.
-    InFlight,
-}
-
-/// [`expected_residency`] over an `n_tiers`-level far-memory stack with
-/// block `b`'s transfers routed to tier `tier_of[b]` — the replay of a
-/// [`lower_plan_tiered`] executor (pass it [`OocExecutor::tier_of`]).
-/// Every sample's `far_bytes` carries the whole per-tier trajectory, and
-/// the replay's `peak_tier_bytes` predicts [`crate::OocStats`]'s
-/// sample-for-sample. [`expected_residency`] is this with a single
-/// unbounded tier, and [`expected_residency_tiered_as`] is this under an
-/// explicit [`SwapAccounting`] (the default models inline transfers).
-pub fn expected_residency_tiered(
-    plan: &Plan,
-    boundaries: &[usize],
-    key_bytes: &[usize],
-    n_layers: usize,
-    tier_of: &[usize],
-    n_tiers: usize,
-) -> Result<ResidencyReplay, BridgeError> {
-    expected_residency_tiered_as(
-        plan,
-        boundaries,
-        key_bytes,
-        n_layers,
-        tier_of,
-        n_tiers,
-        SwapAccounting::Synchronous,
-    )
-}
-
-/// [`expected_residency_tiered`] under an explicit [`SwapAccounting`]
-/// mode: a fold of bytes over the same transfer program the executor
-/// interprets. [`SwapAccounting::InFlight`] predicts a lane executor's
-/// trace sample-for-sample: `near_bytes` is byte-identical to the inline
-/// replay (fetches reserve at issue), while a fetched tier's `far_bytes`
-/// stays charged from the fetch's issue sample until the deadline step's
-/// compute samples, exactly as [`OocExecutor::grad_step`] with I/O lanes
-/// discharges it at the deadline wait. Per-tier peaks are attained during
-/// the forward sweep — where both modes charge identically — so
-/// `peak_tier_bytes` agrees between the modes by construction.
-pub fn expected_residency_tiered_as(
-    plan: &Plan,
-    boundaries: &[usize],
-    key_bytes: &[usize],
-    n_layers: usize,
-    tier_of: &[usize],
-    n_tiers: usize,
-    accounting: SwapAccounting,
-) -> Result<ResidencyReplay, BridgeError> {
-    check_routing(plan, tier_of, n_tiers)?;
-    // The executor is never run: only its transfer program is read.
-    let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
-    let program = TransferProgram::new(&exec);
-    let bytes = |keys: std::ops::Range<usize>| -> usize { key_bytes[keys].iter().sum() };
-    let mut cur = key_bytes[0]; // the input batch
-    let mut peak = cur;
-    let mut far = vec![0usize; n_tiers];
-    let mut peak_tier = vec![0usize; n_tiers];
-    // Issued fetches not yet waited: (tier, bytes, deadline step).
-    let mut in_flight: Vec<(usize, usize, Option<usize>)> = Vec::new();
-    let mut samples = Vec::with_capacity(program.ops.len());
-    for op in &program.ops {
-        let event = match op {
-            Op::Forward(b) => {
-                // A recompute block's interiors exist only inside its
-                // forward: the peak sees them, the sample does not.
-                let (s, e) = program.range(*b);
-                cur += bytes(s + 1..e + 1);
-                peak = peak.max(cur);
-                if program.recomputes(*b) {
-                    cur -= bytes(s + 1..e);
-                }
-                Some((ExecEvent::Forward, *b))
-            }
-            Op::Out(t) => {
-                let (tier, moved) = (tier_of[t.block], bytes(t.keys.clone()));
-                cur -= moved;
-                far[tier] += moved;
-                peak_tier[tier] = peak_tier[tier].max(far[tier]);
-                Some((t.event, t.block))
-            }
-            // The executor releases the logits before the backward.
-            Op::Loss => {
-                cur -= key_bytes[n_layers];
-                None
-            }
-            Op::In(t) => {
-                let (tier, moved) = (tier_of[t.block], bytes(t.keys.clone()));
-                cur += moved;
-                peak = peak.max(cur);
-                match accounting {
-                    SwapAccounting::Synchronous => far[tier] -= moved,
-                    SwapAccounting::InFlight => in_flight.push((tier, moved, t.deadline)),
-                }
-                Some((t.event, t.block))
-            }
-            // The deadline wait discharges the source tier before the
-            // step's compute samples (no sample of its own: the engine
-            // blocks, it does not move near-memory bytes).
-            Op::Await(b) => {
-                in_flight.retain(|&(tier, moved, deadline)| {
-                    let due = deadline.is_some_and(|d| d >= *b);
-                    if due {
-                        far[tier] -= moved;
-                    }
-                    !due
-                });
-                None
-            }
-            Op::Recompute(b) => {
-                let (s, e) = program.range(*b);
-                cur += bytes(s + 1..e);
-                peak = peak.max(cur);
-                Some((ExecEvent::Recompute, *b))
-            }
-            // Backward releases the interior plus the block's input
-            // boundary (its top boundary went with the block above).
-            Op::Backward(b) => {
-                let (s, e) = program.range(*b);
-                cur -= bytes(s..e);
-                Some((ExecEvent::Backward, *b))
-            }
-        };
-        if let Some((event, block)) = event {
-            samples.push(ResidencySample {
-                event,
-                block,
-                near_bytes: cur,
-                far_bytes: far.clone(),
-            });
-        }
-    }
-    Ok(ResidencyReplay {
-        samples,
-        peak_bytes: peak,
-        peak_tier_bytes: peak_tier,
-    })
 }
 
 #[cfg(test)]
@@ -1089,9 +1052,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exec.tier_of()[0], 1, "block 0 must spill to the slow tier");
-        let replay =
-            expected_residency_tiered(&p, &[0, 3, 6], &key_bytes, net.len(), exec.tier_of(), 2)
-                .unwrap();
+        let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
         let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
         assert_eq!(trace, replay.samples);
         assert_eq!(stats.peak_tier_bytes, replay.peak_tier_bytes);
@@ -1116,26 +1077,15 @@ mod tests {
         )
         .unwrap()
         .with_io_lanes(2);
-        let replay = expected_residency_tiered_as(
-            &p,
-            &[0, 3, 6],
-            &key_bytes,
-            net.len(),
-            exec.tier_of(),
-            2,
-            SwapAccounting::InFlight,
-        )
-        .unwrap();
+        let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
         let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
         assert_eq!(trace, replay.samples);
         assert_eq!(stats.peak_tier_bytes, replay.peak_tier_bytes);
         assert_eq!(stats.peak_near_bytes, replay.peak_bytes);
-        // Per-tier peaks agree across accounting modes (they are attained
-        // during the forward sweep, where both modes charge identically),
+        // Per-tier peaks agree across backends (they are attained
+        // during the forward sweep, where both charge identically),
         // while the mid-flight far trajectories differ.
-        let sync =
-            expected_residency_tiered(&p, &[0, 3, 6], &key_bytes, net.len(), exec.tier_of(), 2)
-                .unwrap();
+        let sync = ResidencyReplay::of(&exec.clone().with_io_lanes(0), &key_bytes).unwrap();
         assert_eq!(sync.peak_tier_bytes, replay.peak_tier_bytes);
         assert_ne!(
             sync.samples, replay.samples,
@@ -1143,11 +1093,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn swap_timing_is_exposed_inline_and_hidden_on_lanes() {
-        let p = swap_plan();
+    /// Unit-second compute costs for `swap_plan`'s three blocks.
+    fn swap_plan_costs() -> BlockCosts {
         let n = 3;
-        let costs = karma_core::cost::BlockCosts {
+        BlockCosts {
             forward: vec![1.0; n],
             backward: vec![1.0; n],
             act_bytes: vec![100; n],
@@ -1160,7 +1109,13 @@ mod tests {
             swap_bw: 100.0,
             act_capacity: 1_000,
             batch: 1,
-        };
+        }
+    }
+
+    #[test]
+    fn swap_timing_is_exposed_inline_and_hidden_on_lanes() {
+        let p = swap_plan();
+        let costs = swap_plan_costs();
         let key_bytes = vec![16usize; 9];
         let tiers = [TierSpec::unbounded()];
         // Synchronous engine (0 lanes): every transfer is fully exposed.
@@ -1267,23 +1222,63 @@ mod tests {
 
     #[test]
     fn tier_routing_validation_is_typed() {
-        let p = swap_plan();
+        let (p, costs) = (swap_plan(), swap_plan_costs());
         let key_bytes = vec![64usize; 9];
+        let timing = |tier_of: &[usize], tiers: &[TierSpec]| {
+            expected_swap_timing(
+                &p,
+                &costs,
+                &[0, 3, 6],
+                &key_bytes,
+                8,
+                tier_of,
+                tiers,
+                0,
+                0.0,
+                0.0,
+            )
+            .unwrap_err()
+        };
+        let two = [TierSpec::host(usize::MAX), TierSpec::nvme(usize::MAX)];
         // Wrong routing length.
         assert!(matches!(
-            expected_residency_tiered(&p, &[0, 3, 6], &key_bytes, 8, &[0], 1).unwrap_err(),
+            timing(&[0], &two[..1]),
             BridgeError::TierRouting(_)
         ));
         // A route beyond the stack.
         assert!(matches!(
-            expected_residency_tiered(&p, &[0, 3, 6], &key_bytes, 8, &[2, 0, 0], 2).unwrap_err(),
+            timing(&[2, 0, 0], &two),
             BridgeError::TierRouting(_)
         ));
         // An empty stack.
-        assert!(matches!(
-            expected_residency_tiered(&p, &[0, 3, 6], &key_bytes, 8, &[0, 0, 0], 0).unwrap_err(),
-            BridgeError::TierRouting(_)
-        ));
+        assert_eq!(
+            timing(&[0, 0, 0], &[]),
+            BridgeError::Lower(RuntimeLowerError::TierStackEmpty)
+        );
+    }
+
+    #[test]
+    fn replay_of_a_hand_built_executor_matches_execution_at_any_lane_count() {
+        // No plan lowers to this executor (two tiers, evicted boundaries
+        // departing on transfers of their own): the replay reads the
+        // schedule, the routing and the backend off the executor itself.
+        let (net, x, y) = setup();
+        let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+        for lanes in [0, 2] {
+            let exec = crate::program::two_tier_boundary_evicting_executor().with_io_lanes(lanes);
+            let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
+            let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
+            assert_eq!(trace, replay.samples, "{lanes} lanes");
+            assert_eq!(stats.peak_near_bytes, replay.peak_bytes, "{lanes} lanes");
+            assert_eq!(
+                stats.peak_tier_bytes, replay.peak_tier_bytes,
+                "{lanes} lanes"
+            );
+            assert!(
+                replay.peak_tier_bytes.iter().all(|&b| b > 0),
+                "both tiers park"
+            );
+        }
     }
 
     #[test]

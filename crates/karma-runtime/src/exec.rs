@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::program::{Op, TransferProgram};
+use crate::program::{Op, Transfer, TransferProgram};
 use crate::store::{priced_transfer, NearMemory, SlotStore, TierSpec, TierStack};
 
 /// Per-block activation policy (the executable analogue of the planner's
@@ -147,12 +147,12 @@ enum Job {
 }
 
 impl Job {
-    /// Run `work` on `pool`'s lane `lane`, or inline right now without a
-    /// pool. `work` returns the tensors a fetch brings back (none for a
-    /// swap-out).
+    /// Run `work` on `pool`'s lane for transfer `t` ([`Transfer::lane`]),
+    /// or inline right now without a pool. `work` returns the tensors a
+    /// fetch brings back (none for a swap-out).
     fn submit(
         pool: Option<&IoLanePool>,
-        lane: usize,
+        t: &Transfer,
         work: impl FnOnce() -> Vec<(usize, Tensor)> + Send + 'static,
     ) -> Self {
         let timed = move || {
@@ -161,7 +161,7 @@ impl Job {
             (group, t0.elapsed())
         };
         match pool {
-            Some(pool) => Job::Lane(pool.submit(lane, timed)),
+            Some(pool) => Job::Lane(pool.submit(t.lane(pool.lanes()), timed)),
             None => {
                 let (group, busy) = timed();
                 Job::Inline(group, busy)
@@ -516,6 +516,10 @@ impl OocExecutor {
         &self.tier_of
     }
 
+    pub(crate) fn n_layers(&self) -> usize {
+        self.n_layers
+    }
+
     pub(crate) fn block_range(&self, b: usize) -> (usize, usize) {
         let start = self.boundaries[b];
         let end = self.boundaries.get(b + 1).copied().unwrap_or(self.n_layers);
@@ -570,10 +574,10 @@ impl OocExecutor {
     /// The swap engine: interpret the step's [`TransferProgram`]. Every
     /// transfer is charged at its issue point — near memory reserved,
     /// the far tier charged — and its priced copy submitted to the
-    /// backend: I/O lane `block % lanes`, or inline on the compute thread
-    /// without lanes. Same-lane FIFO order (and inline program order)
-    /// lands a block's swap-out in the [`SlotStore`] before its swap-in
-    /// takes it. The backend decides only *where* a transfer is waited:
+    /// backend: the transfer's I/O lane ([`Transfer::lane`]), or inline
+    /// on the compute thread without lanes. Same-lane FIFO order (and
+    /// inline program order) lands a block's swap-out in the
+    /// [`SlotStore`] before its swap-in takes it. The backend decides only *where* a transfer is waited:
     /// inline at its issue point, on a lane at its deadline. The far
     /// tier discharges at that wait, so in-flight bytes stay charged to
     /// the tier they are leaving; the near trajectory is the same on
@@ -618,7 +622,7 @@ impl OocExecutor {
                     Some((ExecEvent::Forward, b))
                 }
                 Op::Out(ref t) => {
-                    let tier = self.tier_of[t.block];
+                    let tier = t.tier;
                     let group: Vec<(usize, Tensor)> = t
                         .keys
                         .clone()
@@ -632,7 +636,7 @@ impl OocExecutor {
                     stats.swap_out_ops += usize::from(t.event == ExecEvent::SwapOut);
                     stats.boundary_out_ops += usize::from(t.boundary);
                     let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
-                    let job = Job::submit(pool, t.block, move || {
+                    let job = Job::submit(pool, t, move || {
                         for (key, tensor) in group {
                             slots.put(tier, key, priced_transfer(tensor, &spec));
                         }
@@ -652,7 +656,7 @@ impl OocExecutor {
                     None
                 }
                 Op::In(ref t) => {
-                    let tier = self.tier_of[t.block];
+                    let tier = t.tier;
                     for key in t.keys.clone() {
                         let bytes = far.charged(tier, key);
                         stats.swapped_in_bytes += bytes;
@@ -662,7 +666,7 @@ impl OocExecutor {
                     stats.boundary_in_ops += usize::from(t.boundary);
                     let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
                     let keys = t.keys.clone();
-                    let job = Job::submit(pool, t.block, move || {
+                    let job = Job::submit(pool, t, move || {
                         keys.map(|key| (key, priced_transfer(slots.take(tier, key), &spec)))
                             .collect()
                     });
@@ -736,52 +740,6 @@ impl OocExecutor {
         stats.peak_far_bytes = far.peak_resident_bytes();
         stats.peak_tier_bytes = far.peak_tier_bytes();
         (loss, Gradients { per_layer }, stats)
-    }
-
-    /// Capacity-based automatic policy: measure per-activation bytes with
-    /// one dry forward, keep the longest suffix of blocks resident that
-    /// fits in `budget` (reserving the largest block's interior as working
-    /// space), and mark the rest `Swap` (or `Recompute` when
-    /// `recompute_far` is set).
-    pub fn auto(
-        net: &Sequential,
-        x: &Tensor,
-        boundaries: Vec<usize>,
-        budget: usize,
-        recompute_far: bool,
-    ) -> Self {
-        let n_layers = net.len();
-        let acts = net.forward_all(x);
-        let sizes: Vec<usize> = acts.iter().map(Tensor::bytes).collect();
-        let nb = boundaries.len();
-        let interior = |b: usize| -> usize {
-            let start = boundaries[b];
-            let end = boundaries.get(b + 1).copied().unwrap_or(n_layers);
-            (start + 1..end).map(|i| sizes[i]).sum()
-        };
-        // Always-resident bytes: every block's input boundary + the input
-        // + the logits, plus the largest interior as working space.
-        let bounds_bytes: usize =
-            boundaries.iter().map(|&s| sizes[s]).sum::<usize>() + sizes[n_layers];
-        let max_interior = (0..nb).map(interior).max().unwrap_or(0);
-        let reserve = bounds_bytes + max_interior;
-        let mut policy = vec![
-            if recompute_far {
-                BlockPolicy::Recompute
-            } else {
-                BlockPolicy::Swap
-            };
-            nb
-        ];
-        let mut acc = 0usize;
-        for b in (0..nb).rev() {
-            acc += interior(b);
-            if reserve + acc > budget {
-                break;
-            }
-            policy[b] = BlockPolicy::Resident;
-        }
-        OocExecutor::new(boundaries, policy, budget, n_layers)
     }
 }
 
@@ -918,19 +876,6 @@ mod tests {
             resident.grad_step(&net, &x, &y, |_, _| {});
         }));
         assert!(result.is_err(), "resident beyond budget must OOM");
-    }
-
-    #[test]
-    fn auto_policy_respects_budget_and_trains() {
-        let (mut net, x, y) = setup();
-        let in_core = OocExecutor::in_core(net.len());
-        let (_, _, s_ic) = in_core.grad_step(&net, &x, &y, |_, _| {});
-        let budget = s_ic.peak_near_bytes * 3 / 4;
-        let exec = OocExecutor::auto(&net, &x, vec![0, 2, 4, 6], budget, false);
-        assert!(exec.policies().contains(&BlockPolicy::Swap));
-        let (_, s) = exec.train_step(&mut net, &x, &y, 0.05);
-        assert!(s.peak_near_bytes <= budget);
-        assert_eq!(net.snapshot(), reference(1));
     }
 
     #[test]

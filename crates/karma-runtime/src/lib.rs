@@ -29,7 +29,9 @@
 //!   prefetch schedule) plus, for distributed plans, the
 //!   [`dp::ExchangeSchedule`] its `AR`/`U` ops prescribe — with residency
 //!   and exchange replays predicting the executed trajectory, message
-//!   count, and shipped bytes exactly;
+//!   count, and shipped bytes exactly (the residency replay,
+//!   [`bridge::ResidencyReplay::of`], folds any lowered executor's
+//!   transfer program, on its own tiers and I/O lanes);
 //! * [`elastic`] — fault-tolerant training on the planned path: mid-step
 //!   worker death resolved by [`dp`]'s deterministic complete-or-abort
 //!   rule, re-lowering + hot swap of the executor and exchange schedule
@@ -53,9 +55,8 @@ pub mod store;
 
 pub use bridge::{
     block_grad_bytes, expected_exchange, expected_exchange_timing, expected_residency,
-    expected_residency_tiered, expected_residency_tiered_as, expected_swap_timing,
-    graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered, plan_net, BridgeError,
-    ExchangeReplay, ExchangeTiming, NetPlan, ResidencyReplay, SwapAccounting, SwapTiming,
+    expected_swap_timing, graph_boundaries_to_net, lower_dist_plan, lower_plan, lower_plan_tiered,
+    plan_net, BridgeError, ExchangeReplay, ExchangeTiming, NetPlan, ResidencyReplay, SwapTiming,
     SwapTransfer,
 };
 pub use dp::{

@@ -6,15 +6,16 @@
 //! interprets this list, and the plan→runtime bridge folds the same list
 //! into its residency and swap-timing predictions, so the three agree by
 //! construction. Whether a boundary rides its block's transfer or moves
-//! on its own, and when each fetch is due, is decided here and nowhere
-//! else.
+//! on its own, when each fetch is due, and which tier and I/O lane each
+//! transfer uses, is decided here and nowhere else.
 
 use std::ops::Range;
 
 use crate::exec::{BlockPolicy, ExecEvent, OocExecutor};
 
 /// One far-memory transfer: a run of one block's near-memory keys moving
-/// as a single job on the block's tier and lane.
+/// as a single job on the block's tier ([`Transfer::tier`]) and I/O lane
+/// ([`Transfer::lane`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Transfer {
     /// What moves: [`ExecEvent::SwapOut`]/[`ExecEvent::BoundaryOut`] or
@@ -22,6 +23,9 @@ pub(crate) struct Transfer {
     pub event: ExecEvent,
     /// The block whose keys move.
     pub block: usize,
+    /// The far tier the keys park in: the executor's routing of `block`
+    /// ([`OocExecutor::tier_of`]).
+    pub tier: usize,
     /// The forward (out) or backward (in) step that issues the transfer.
     pub step: usize,
     /// The keys moved: the block's interiors, its boundary, or both
@@ -32,6 +36,16 @@ pub(crate) struct Transfer {
     /// The backward step whose compute reads the keys of a fetch; `None`
     /// for a swap-out, which is due when the step retires.
     pub deadline: Option<usize>,
+}
+
+impl Transfer {
+    /// The I/O lane the transfer runs on among `lanes`: `block % lanes`,
+    /// so a block's swap-out and swap-in share a FIFO lane and the
+    /// swap-out lands first. Lane 0 when transfers run inline
+    /// (`lanes = 0`).
+    pub(crate) fn lane(&self, lanes: usize) -> usize {
+        self.block % lanes.max(1)
+    }
 }
 
 /// One op of a training step.
@@ -88,6 +102,7 @@ impl TransferProgram {
             Transfer {
                 event,
                 block,
+                tier: exec.tier_of()[block],
                 step,
                 keys: first..last,
                 boundary,
@@ -152,39 +167,46 @@ fn step_transfers(interiors: &[usize], bounds: &[usize]) -> Vec<(usize, bool, bo
     alone.chain(groups).collect()
 }
 
+/// The hardest hand-built schedule of the executor's unit suite, for the
+/// tests of every interpreter of its program: both swap blocks evict
+/// their boundary, each departing one step after its interiors as a
+/// transfer of its own, both returns ride their block's swap-in, and the
+/// blocks route to two tiers. Over an 8-layer net.
+#[cfg(test)]
+pub(crate) fn two_tier_boundary_evicting_executor() -> OocExecutor {
+    use crate::store::TierSpec;
+    OocExecutor::new(
+        vec![0, 3, 6],
+        vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
+        usize::MAX / 2,
+        8,
+    )
+    .with_schedule(
+        vec![vec![0], vec![1], vec![]],
+        vec![vec![], vec![0], vec![1]],
+    )
+    .with_boundary_schedule(
+        vec![true, true, false],
+        vec![vec![], vec![0], vec![1]],
+        vec![vec![], vec![0], vec![1]],
+    )
+    .with_tiers(
+        vec![TierSpec::host(usize::MAX), TierSpec::nvme(usize::MAX)],
+        vec![0, 1, 0],
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TierSpec;
 
     #[test]
     fn boundary_evicting_two_tier_schedule_lowers_to_the_exact_op_list() {
-        // The hardest hand-built schedule of the executor's unit suite:
-        // both swap blocks evict their boundary, each departing one step
-        // after its interiors as a transfer of its own, both returns ride
-        // their block's swap-in, and the blocks route to two tiers.
-        let exec = OocExecutor::new(
-            vec![0, 3, 6],
-            vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
-            usize::MAX / 2,
-            8,
-        )
-        .with_schedule(
-            vec![vec![0], vec![1], vec![]],
-            vec![vec![], vec![0], vec![1]],
-        )
-        .with_boundary_schedule(
-            vec![true, true, false],
-            vec![vec![], vec![0], vec![1]],
-            vec![vec![], vec![0], vec![1]],
-        )
-        .with_tiers(
-            vec![TierSpec::host(usize::MAX), TierSpec::nvme(usize::MAX)],
-            vec![0, 1, 0],
-        );
-        let t = |event, block, step, keys, boundary, deadline| Transfer {
+        let exec = two_tier_boundary_evicting_executor();
+        let t = |event, block, tier, step, keys, boundary, deadline| Transfer {
             event,
             block,
+            tier,
             step,
             keys,
             boundary,
@@ -193,17 +215,17 @@ mod tests {
         use ExecEvent::{BoundaryOut, SwapIn, SwapOut};
         let want = vec![
             Op::Forward(0),
-            Op::Out(t(SwapOut, 0, 0, 1..3, false, None)),
+            Op::Out(t(SwapOut, 0, 0, 0, 1..3, false, None)),
             Op::Forward(1),
-            Op::Out(t(BoundaryOut, 0, 1, 3..4, true, None)),
-            Op::Out(t(SwapOut, 1, 1, 4..6, false, None)),
+            Op::Out(t(BoundaryOut, 0, 0, 1, 3..4, true, None)),
+            Op::Out(t(SwapOut, 1, 1, 1, 4..6, false, None)),
             Op::Forward(2),
-            Op::Out(t(BoundaryOut, 1, 2, 6..7, true, None)),
+            Op::Out(t(BoundaryOut, 1, 1, 2, 6..7, true, None)),
             Op::Loss,
-            Op::In(t(SwapIn, 1, 2, 4..7, true, Some(2))),
+            Op::In(t(SwapIn, 1, 1, 2, 4..7, true, Some(2))),
             Op::Await(2),
             Op::Backward(2),
-            Op::In(t(SwapIn, 0, 1, 1..4, true, Some(1))),
+            Op::In(t(SwapIn, 0, 0, 1, 1..4, true, Some(1))),
             Op::Await(1),
             Op::Backward(1),
             Op::Await(0),

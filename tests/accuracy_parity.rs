@@ -85,9 +85,15 @@ fn budgeted_auto_policy_matches_reference_too() {
     let in_core = OocExecutor::in_core(net0.len());
     let (_, _, s) = in_core.grad_step(&net0, &x, &y, |_, _| {});
 
-    // 70% of the in-core peak forces real eviction.
+    // 70% of the in-core peak forces real eviction: no resident suffix
+    // of blocks fits, so every block swaps.
     let budget = s.peak_near_bytes * 7 / 10;
-    let exec = OocExecutor::auto(&net0, &x, vec![0, 2, 4, 6], budget, false);
+    let exec = OocExecutor::new(
+        vec![0, 2, 4, 6],
+        vec![BlockPolicy::Swap; 4],
+        budget,
+        net0.len(),
+    );
 
     let mut ooc = small_cnn(4, 13);
     let mut reference = small_cnn(4, 13);

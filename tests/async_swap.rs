@@ -9,9 +9,9 @@
 //!   bitwise-identical to the synchronous engine in every
 //!   (threads × lanes) cell;
 //! * **in-flight replay** — the executed residency trace equals
-//!   `expected_residency_tiered_as(.., SwapAccounting::InFlight)` sample
-//!   for sample, and the per-tier peaks match the synchronous
-//!   accounting's peaks (overlap moves discharge points, not peaks);
+//!   `ResidencyReplay::of` the lane executor sample for sample, and the
+//!   per-tier peaks match the replay of the same executor without lanes
+//!   (overlap moves discharge points, not peaks);
 //! * **capacity under flight** — no sampled instant observes a far tier
 //!   above its capacity even with issued-but-unwaited transfers charged
 //!   to the source tier, at any lane count or tier split;
@@ -23,8 +23,7 @@ use karma::core::plan::Plan;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
-    expected_residency, expected_residency_tiered, expected_residency_tiered_as, lower_plan,
-    lower_plan_tiered, plan_net, SwapAccounting,
+    expected_residency, lower_plan, lower_plan_tiered, plan_net, ResidencyReplay,
 };
 use karma::runtime::TierSpec;
 use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
@@ -120,16 +119,7 @@ fn executed_trace_matches_the_in_flight_replay() {
     )
     .unwrap()
     .with_io_lanes(2);
-    let inflight = expected_residency_tiered_as(
-        &plan,
-        &net_bounds,
-        &key_bytes,
-        net.len(),
-        exec.tier_of(),
-        tiers.len(),
-        SwapAccounting::InFlight,
-    )
-    .unwrap();
+    let inflight = ResidencyReplay::of(&exec, &key_bytes).unwrap();
     let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
     assert_eq!(
         trace, inflight.samples,
@@ -137,15 +127,7 @@ fn executed_trace_matches_the_in_flight_replay() {
     );
     assert_eq!(stats.peak_tier_bytes, inflight.peak_tier_bytes);
     assert_eq!(stats.peak_near_bytes, inflight.peak_bytes);
-    let sync = expected_residency_tiered(
-        &plan,
-        &net_bounds,
-        &key_bytes,
-        net.len(),
-        exec.tier_of(),
-        tiers.len(),
-    )
-    .unwrap();
+    let sync = ResidencyReplay::of(&exec.clone().with_io_lanes(0), &key_bytes).unwrap();
     assert_eq!(
         sync.peak_tier_bytes, inflight.peak_tier_bytes,
         "accounting mode moved a per-tier peak"
@@ -183,16 +165,7 @@ proptest! {
         )
         .unwrap()
         .with_io_lanes(lanes);
-        let inflight = expected_residency_tiered_as(
-            &plan,
-            &net_bounds,
-            &key_bytes,
-            net.len(),
-            exec.tier_of(),
-            tiers.len(),
-            SwapAccounting::InFlight,
-        )
-        .unwrap();
+        let inflight = ResidencyReplay::of(&exec, &key_bytes).unwrap();
         let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
         prop_assert_eq!(&trace, &inflight.samples);
         for s in &trace {

@@ -11,8 +11,8 @@
 //! * **replay per phase** — after every hot swap, `expected_exchange`
 //!   still predicts the executed message count phase by phase;
 //! * **peak contracts** — the tiered residency prediction
-//!   (`expected_residency_tiered`) bounds the executed per-worker peaks
-//!   through every re-lowering;
+//!   (`ResidencyReplay::of` the lowered executor) bounds the executed
+//!   per-worker peaks through every re-lowering;
 //! * **restore** — a run resumed from a far-store checkpoint starts at
 //!   the checkpointed step (not step 0) and is bitwise-identical to the
 //!   uninterrupted run, at any thread count.
@@ -24,7 +24,7 @@ use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::net::{ExchangeGroup, PhasedExchange};
 use karma::runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_residency, expected_residency_tiered, plan_net,
+    block_grad_bytes, expected_exchange, expected_residency, plan_net, ResidencyReplay,
 };
 use karma::runtime::dp::{train_churn_reference, ChurnConfig, FaultPlan, WorkerFailure};
 use karma::runtime::elastic::{Checkpoint, ElasticDriver, ElasticOptions, PoolEvent};
@@ -238,15 +238,7 @@ fn tiered_peak_contracts_survive_hot_swaps() {
         tiers.clone(),
     );
     let (exec, _) = driver.lower_for(3).expect("tiered pool lowers");
-    let tiered_replay = expected_residency_tiered(
-        &plan,
-        &net_bounds,
-        &key_bytes,
-        n_layers,
-        exec.tier_of(),
-        tiers.len(),
-    )
-    .unwrap();
+    let tiered_replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
 
     // per_worker matches the batch the key_bytes were profiled at.
     let mut opts = ElasticOptions::plain(8, 0.05, 5);

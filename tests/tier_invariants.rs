@@ -6,7 +6,7 @@
 //! thread matrix):
 //!
 //! * **replay exactness** — a `lower_plan_tiered` executor's per-tier
-//!   residency trajectory and peaks equal `expected_residency_tiered`'s
+//!   residency trajectory and peaks equal `ResidencyReplay::of`'s
 //!   prediction sample for sample;
 //! * **capacity** — no tier ever holds more than its capacity, at any
 //!   sampled instant (the interval packing in
@@ -22,8 +22,7 @@ use karma::core::lower::{simulate_plan, LowerOptions};
 use karma::graph::{BlockPartition, MemoryParams};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
-    expected_residency, expected_residency_tiered, graph_boundaries_to_net, lower_plan,
-    lower_plan_tiered,
+    expected_residency, graph_boundaries_to_net, lower_plan, lower_plan_tiered, ResidencyReplay,
 };
 use karma::runtime::TierSpec;
 use karma::sim::ModelProfile;
@@ -108,15 +107,7 @@ proptest! {
             &tiers,
         )
         .expect("an unbounded last tier keeps every stack feasible");
-        let replay = expected_residency_tiered(
-            &cp.plan,
-            &net_bounds,
-            &key_bytes,
-            net.len(),
-            exec.tier_of(),
-            tiers.len(),
-        )
-        .unwrap();
+        let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
         let (loss, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
 
         // (a) Executed == modeled: the whole per-tier trajectory, sample
