@@ -48,13 +48,16 @@ pub enum LoweredPolicy {
 /// output — the next block's input). The cost model prices a swapped
 /// block's `Sout`/`Sin` at the full `act_bytes`, boundary included, so a
 /// swapped block's boundary leaves the device with the block; the
-/// recompute checkpoint and the logits must stay.
+/// recompute checkpoint and the logits must stay, and so does the last
+/// block's input (whose trip would bracket only the loss).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BoundaryPolicy {
     /// The boundary stays in near memory through the iteration: resident
     /// blocks, recompute blocks (it is the checkpoint they re-forward
-    /// from, paper Table I), and the last block (its boundary is the
-    /// logits, consumed by the loss right after the forward sweep).
+    /// from, paper Table I), the last block (its boundary is the logits,
+    /// consumed by the loss right after the forward sweep) and block
+    /// `n - 2` (its boundary is the last block's input, and would leave
+    /// and return on the same turnaround step).
     Resident,
     /// The boundary departs with the block's swap-out — physically once
     /// the consumer's forward has read it — and returns with the block's
@@ -379,7 +382,7 @@ pub struct RuntimeSchedule {
     /// just-in-time).
     pub prefetch_depth: usize,
     /// One boundary-residency policy per block: every swap-policy block
-    /// below the last evicts its boundary (the cost model prices its
+    /// below the last two evicts its boundary (the cost model prices its
     /// departure), everything else keeps it resident.
     pub boundary: Vec<BoundaryPolicy>,
     /// `boundary_evict_after[j]` — blocks whose boundary activation
@@ -704,7 +707,12 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
 
     // Boundary residency: a swapped block's Sout/Sin move the *full*
     // activation payload — the cost model credits `act_bytes`, boundary
-    // included — so every swap block below the last evicts its boundary.
+    // included — so every swap block below the last two evicts its
+    // boundary. The last block's boundary is the logits. Block `n - 2`'s
+    // is the last block's input: its departure (at or after step `n - 1`)
+    // and its return (at or before step `n - 1`) fall on the same
+    // turnaround step, bracketing only the loss, so the trip would move
+    // bytes without lowering the peak reached at F(n-1)'s end.
     // Departure cannot precede the consumer's forward (block `b + 1`
     // reads the boundary as its input). The return rides the block's Sin
     // when that Sin lands at or before backward step `b + 1` — the step
@@ -717,7 +725,7 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
     let mut boundary_evict_after = vec![Vec::new(); n];
     let mut boundary_fetch_before = vec![Vec::new(); n];
     for b in 0..n {
-        if policies[b] != LoweredPolicy::Swap || b + 1 == n {
+        if policies[b] != LoweredPolicy::Swap || b + 2 >= n {
             continue;
         }
         boundary[b] = BoundaryPolicy::Evict;
@@ -890,10 +898,10 @@ mod tests {
         // Forward-phase evictions come front to back.
         let order = s.eviction_order();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
-        // Every swapped block below the last evicts its boundary; resident
-        // blocks keep theirs.
+        // Every swapped block below the last two evicts its boundary;
+        // resident blocks keep theirs.
         for b in 0..6 {
-            let expect = if s.policies[b] == LoweredPolicy::Swap && b + 1 < 6 {
+            let expect = if s.policies[b] == LoweredPolicy::Swap && b + 2 < 6 {
                 BoundaryPolicy::Evict
             } else {
                 BoundaryPolicy::Resident
@@ -906,9 +914,10 @@ mod tests {
     #[test]
     fn boundary_schedule_respects_the_deadline_rule() {
         // Eager swap-everything: the last block swaps too, but its
-        // boundary (the logits) stays; every other boundary departs only
-        // after the consumer's forward and returns at or before the
-        // consumer's backward step.
+        // boundary (the logits) stays, and so does its input (block 3's
+        // boundary, whose trip would bracket only the loss); every other
+        // boundary departs only after the consumer's forward and returns
+        // at or before the consumer's backward step.
         let c = costs(5, 100, 1.0, 2.5);
         let opts = CapacityPlanOptions {
             recompute: vec![false; 5],
@@ -919,7 +928,12 @@ mod tests {
         let cp = build_training_plan(&c, &opts);
         let s = lower_to_runtime(&cp.plan).unwrap();
         assert_eq!(s.boundary[4], BoundaryPolicy::Resident, "logits stay");
-        assert_eq!(s.boundary_evict_blocks(), 4);
+        assert_eq!(
+            s.boundary[3],
+            BoundaryPolicy::Resident,
+            "the last block's input stays"
+        );
+        assert_eq!(s.boundary_evict_blocks(), 3);
         for (j, list) in s.boundary_evict_after.iter().enumerate() {
             for &e in list {
                 assert!(j > e, "boundary of {e} left before F({}) read it", e + 1);
@@ -940,11 +954,14 @@ mod tests {
         // Sin(0) at block 0's own backward step: riding it would hand the
         // boundary back after B(1) consumed it, so the lowering splits the
         // boundary onto its own transfer at the consumer's step instead.
-        let mut p = Plan::new(2);
+        // (Block 2 is last, so block 0's boundary is not its exempt input.)
+        let mut p = Plan::new(3);
         let f0 = p.push(OpKind::Forward, 0, vec![]);
         let so = p.push(OpKind::SwapOut, 0, vec![f0]);
         let f1 = p.push(OpKind::Forward, 1, vec![f0]);
-        let b1 = p.push(OpKind::Backward, 1, vec![f1]);
+        let f2 = p.push(OpKind::Forward, 2, vec![f1]);
+        let b2 = p.push(OpKind::Backward, 2, vec![f2]);
+        let b1 = p.push(OpKind::Backward, 1, vec![b2]);
         let si = p.push(OpKind::SwapIn, 0, vec![so, b1]);
         p.push(OpKind::Backward, 0, vec![b1, si]);
         let s = lower_to_runtime(&p).unwrap();
@@ -1309,8 +1326,10 @@ mod tests {
     fn assign_tiers_rejects_infeasible_stacks_with_the_first_stuck_block() {
         // Under the eager schedule all five blocks are parked
         // concurrently around the loss, so three single-block tiers
-        // cannot hold them: blocks 0..3 claim one tier each and block 3
-        // is the first that fits nowhere.
+        // cannot hold them: blocks 0..3 claim one tier each (interiors
+        // plus boundary) and block 3 is the first that fits nowhere, with
+        // its interiors alone (its boundary is the last block's input,
+        // which stays).
         let s = eager_swap_schedule();
         let interior = vec![90usize; 5];
         let boundary = vec![10usize; 5];
@@ -1318,7 +1337,7 @@ mod tests {
             assign_tiers(&s, &[100, 100, 100], &interior, &boundary),
             Err(RuntimeLowerError::TierCapacityExceeded {
                 block: 3,
-                bytes: 100
+                bytes: 90
             })
         );
     }

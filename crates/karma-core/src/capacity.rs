@@ -6,7 +6,11 @@
 //!
 //! * **forward**: swap out a block's activations eagerly after its forward
 //!   pass, but *stop swapping* once the remaining suffix of blocks fits in
-//!   memory — those stay resident through the fwd→bwd turnaround;
+//!   memory — those stay resident through the fwd→bwd turnaround. The last
+//!   block is always in that suffix: its round trip would depart after
+//!   its forward and return before its backward, spanning only the loss,
+//!   so it moves bytes without lowering the peak (reached at its forward's
+//!   end);
 //! * **backward**: resident blocks process immediately; swapped blocks are
 //!   *prefetched* as early as capacity allows (each swap-in is tied to the
 //!   backward op whose completion frees enough memory); blocks flipped to
@@ -50,7 +54,8 @@ pub struct CapacityPlanOptions {
     /// dropped and re-materialized during backward.
     pub recompute: Vec<bool>,
     /// Force the first resident block. `None` = derive from capacity
-    /// (KARMA). `Some(n_blocks)` = nothing resident (eager swap-everything,
+    /// (KARMA; [`capacity_resident_from`], which always keeps the last
+    /// block). `Some(n_blocks)` = nothing resident (eager swap-everything,
     /// the Fig. 2 (a) baseline shape).
     pub resident_from: Option<usize>,
     /// Prefetch policy for the backward phase.
@@ -95,8 +100,17 @@ pub struct CapacityPlan {
 }
 
 /// Derive the first resident block for the capacity-based strategy: keep
-/// the longest suffix of non-recomputed blocks whose activations fit in the
-/// budget (capacity minus the largest transient and one prefetch buffer).
+/// the longest suffix of blocks whose activations (a recomputed block's
+/// boundary checkpoint only) fit in the budget (capacity minus the largest
+/// transient and one prefetch buffer).
+///
+/// The last block is resident whatever the budget says: swapping it would
+/// send its activations out after its forward and fetch them back before
+/// its backward, a round trip that brackets only the loss. The peak is
+/// reached at the end of that forward, before the departure, so the trip
+/// costs link time and frees no byte of it. The result is therefore at
+/// most `n_blocks - 1`; only a forced
+/// [`CapacityPlanOptions::resident_from`] swaps the last block.
 pub fn capacity_resident_from(costs: &BlockCosts, recompute: &[bool]) -> usize {
     let n = costs.n_blocks();
     let reserve =
@@ -105,17 +119,13 @@ pub fn capacity_resident_from(costs: &BlockCosts, recompute: &[bool]) -> usize {
     let mut acc: i64 = 0;
     let mut resident_from = n;
     for b in (0..n).rev() {
-        if recompute[b] {
-            // Recomputed blocks store only their boundary checkpoint.
-            acc += costs.boundary_bytes[b] as i64;
-            if acc > budget {
-                break;
-            }
-            resident_from = b;
-            continue;
-        }
-        acc += costs.act_bytes[b] as i64;
-        if acc > budget {
+        // Recomputed blocks store only their boundary checkpoint.
+        acc += if recompute[b] {
+            costs.boundary_bytes[b]
+        } else {
+            costs.act_bytes[b]
+        } as i64;
+        if acc > budget && b + 1 < n {
             break;
         }
         resident_from = b;
@@ -447,6 +457,47 @@ mod tests {
         }
         for b in 3..6 {
             assert!(cp.plan.find(OpKind::SwapOut, b).is_none());
+        }
+    }
+
+    #[test]
+    fn the_last_block_never_swaps_unless_forced() {
+        // Down to a capacity below one block plus the prefetch reserve,
+        // where the budget alone would evict every block: the last block
+        // stays resident in KARMA's plans, with or without recompute, and
+        // only the forced swap-everything shape still moves it.
+        let n = 6;
+        let last = n - 1;
+        for cap_blocks in [0.5, 1.5, 2.0, 3.0, 4.0] {
+            let c = costs(n, 100, 2.0, cap_blocks);
+            let mut rc = vec![false; n];
+            rc[1] = true;
+            for opts in [
+                CapacityPlanOptions::karma(n),
+                CapacityPlanOptions::karma_with_recompute(rc),
+            ] {
+                let cp = build_training_plan(&c, &opts);
+                assert!(cp.resident_from <= last, "cap {cap_blocks}");
+                assert_eq!(
+                    cp.plan.find(OpKind::SwapOut, last),
+                    None,
+                    "cap {cap_blocks}"
+                );
+                assert_eq!(cp.plan.find(OpKind::SwapIn, last), None, "cap {cap_blocks}");
+            }
+            let forced = CapacityPlanOptions {
+                resident_from: Some(n),
+                ..CapacityPlanOptions::karma(n)
+            };
+            let cp = build_training_plan(&c, &forced);
+            assert!(
+                cp.plan.find(OpKind::SwapOut, last).is_some(),
+                "cap {cap_blocks}"
+            );
+            assert!(
+                cp.plan.find(OpKind::SwapIn, last).is_some(),
+                "cap {cap_blocks}"
+            );
         }
     }
 

@@ -278,23 +278,30 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 /// use karma_runtime::bridge::lower_plan;
 /// use karma_runtime::BlockPolicy;
 ///
-/// // Two blocks, block 0 swapped out during the forward sweep and
-/// // fetched at the turnaround — before block 1's backward, which
-/// // restarts from block 0's (evicted) boundary activation.
-/// let mut p = Plan::new(2);
+/// // Three blocks, block 0 swapped out during the forward sweep and
+/// // fetched after B(2) — before block 1's backward, which restarts
+/// // from block 0's (evicted) boundary activation.
+/// let mut p = Plan::new(3);
 /// let f0 = p.push(OpKind::Forward, 0, vec![]);
 /// let so = p.push(OpKind::SwapOut, 0, vec![f0]);
 /// let f1 = p.push(OpKind::Forward, 1, vec![f0]);
-/// let si = p.push(OpKind::SwapIn, 0, vec![so, f1]);
-/// let b1 = p.push(OpKind::Backward, 1, vec![f1, si]);
+/// let f2 = p.push(OpKind::Forward, 2, vec![f1]);
+/// let b2 = p.push(OpKind::Backward, 2, vec![f2]);
+/// let si = p.push(OpKind::SwapIn, 0, vec![so, b2]);
+/// let b1 = p.push(OpKind::Backward, 1, vec![b2]);
 /// p.push(OpKind::Backward, 0, vec![b1, si]);
 ///
-/// let exec = lower_plan(&p, &[0, 3], usize::MAX / 2, 6).unwrap();
-/// assert_eq!(exec.policies(), &[BlockPolicy::Swap, BlockPolicy::Resident]);
-/// assert_eq!(exec.evict_after(), &[vec![0], vec![]]);
-/// // Block 0's boundary leaves with it and returns with its swap-in.
-/// assert_eq!(exec.boundary_evict(), &[true, false]);
-/// assert_eq!(exec.boundary_in_before(), &[vec![], vec![0]]);
+/// let exec = lower_plan(&p, &[0, 3, 6], usize::MAX / 2, 8).unwrap();
+/// use BlockPolicy::{Resident, Swap};
+/// assert_eq!(exec.policies(), &[Swap, Resident, Resident]);
+/// assert_eq!(exec.evict_after(), &[vec![0], vec![], vec![]]);
+/// assert_eq!(exec.prefetch_before(), &[vec![], vec![0], vec![]]);
+/// // Block 0's boundary leaves once F(1) has read it and returns riding
+/// // its swap-in. (Block 1's boundary is the last block's input and
+/// // would leave and return at the turnaround: it stays.)
+/// assert_eq!(exec.boundary_evict(), &[true, false, false]);
+/// assert_eq!(exec.boundary_out_after(), &[vec![], vec![0], vec![]]);
+/// assert_eq!(exec.boundary_in_before(), &[vec![], vec![0], vec![]]);
 /// ```
 pub fn lower_plan(
     plan: &Plan,
@@ -659,7 +666,9 @@ pub struct SwapTransfer {
     pub lane: usize,
     /// Payload bytes.
     pub bytes: u64,
-    /// Modeled instant the transfer is submitted to its lane.
+    /// Modeled instant the transfer is submitted to its lane: its step's
+    /// instant on the compute timeline, delayed by every stall charged
+    /// before it.
     pub issue: f64,
     /// Modeled instant the transfer completes:
     /// `max(lane free, issue) + α + β·passes·bytes + link` — transfers
@@ -668,11 +677,16 @@ pub struct SwapTransfer {
     /// Modeled instant compute reads the bytes: the deadline step's
     /// compute start for fetches (`p` for interiors, `p + 1` for a riding
     /// boundary, per the engine's deadline rules), the end of the
-    /// backward phase for swap-outs (drained when the step retires).
+    /// backward phase for swap-outs (drained when the step retires) —
+    /// delayed, like `issue`, by every stall charged before it.
     pub due: f64,
-    /// Transfer time compute cannot hide: `max(0, ready - due)` on a lane.
-    /// An inline transfer (0 lanes) is waited at its issue point and pays
-    /// its whole service time here.
+    /// Transfer time compute cannot hide. On a lane, the transfers due
+    /// at one wait point are waited one after another in issue order, so
+    /// each pays only what is left after the earlier ones landed:
+    /// `max(0, ready - due - stall of the earlier ones)`, and the wait
+    /// point's stalls sum to its latest transfer's lateness. An inline
+    /// transfer (0 lanes) is waited at its issue point and pays its whole
+    /// service time here.
     pub stall: f64,
 }
 
@@ -709,9 +723,10 @@ pub struct SwapTiming {
 /// latency per transfer, `beta` seconds per byte *per copy pass*, plus
 /// each tier's [`TierSpec::link_ns_per_kib`] occupancy), and due instants
 /// from the program's deadlines — interiors by their block's backward, a
-/// boundary one step earlier. `lanes = 0` models inline transfers: every
-/// one is fully exposed (`stall = busy`), which is exactly what
-/// [`crate::OocStats::swap_wait_s`] measures there.
+/// boundary one step earlier. A stall delays compute, so it shifts every
+/// later issue and due instant by the same amount. `lanes = 0` models
+/// inline transfers: every one is fully exposed (`stall = busy`), which
+/// is exactly what [`crate::OocStats::swap_wait_s`] measures there.
 #[allow(clippy::too_many_arguments)]
 pub fn expected_swap_timing(
     plan: &Plan,
@@ -760,31 +775,61 @@ pub fn expected_swap_timing(
 
     let mut lane_free = vec![0.0f64; lanes.max(1)];
     let mut transfers: Vec<SwapTransfer> = Vec::new();
-    let (mut busy_s, mut hidden_s) = (0.0, 0.0);
+    let mut busy: Vec<f64> = Vec::new();
+    // Compute time lost to stalls so far: every later instant shifts by it.
+    let mut shift = 0.0;
+    // Issued transfers not yet waited: (index into `transfers`, deadline).
+    let mut in_flight: Vec<(usize, Option<usize>)> = Vec::new();
+    // Wait for `group` at instant `due`, one transfer after another as
+    // the engine lands them: each stalls only for what is left, so the
+    // group's stall is its latest transfer's lateness. Inline transfers
+    // were already charged at issue.
+    let land = |transfers: &mut [SwapTransfer], group: Vec<usize>, due: f64| {
+        let mut waited = 0.0;
+        for i in group {
+            let t = &mut transfers[i];
+            t.due = due;
+            if lanes > 0 {
+                t.stall = (t.ready - due - waited).max(0.0);
+                waited += t.stall;
+            }
+        }
+        waited
+    };
     for op in &program.ops {
-        let (t, issue) = match op {
+        let (t, step_instant) = match op {
             Op::Out(t) => (t, fwd_finish[t.step]),
             Op::In(t) => (t, bwd_start(t.step)),
+            // Fetches due at this step's compute: deadline `>= b`, the
+            // engine's rule.
+            Op::Await(b) => {
+                let (due, later) = std::mem::take(&mut in_flight)
+                    .into_iter()
+                    .partition(|&(_, d)| d.is_some_and(|d| d >= *b));
+                in_flight = later;
+                let group = due.into_iter().map(|(i, _)| i).collect();
+                shift += land(&mut transfers, group, bwd_start(*b) + shift);
+                continue;
+            }
             _ => continue,
         };
-        // Swap-outs are due when the step retires (the engine drains
-        // them at the end); fetches by their deadline step's compute.
-        let due = t.deadline.map_or(bwd_end, bwd_start);
+        let issue = step_instant + shift;
         let (tier, lane) = (t.tier, t.lane(lanes));
         let bytes: usize = key_bytes[t.keys.clone()].iter().sum();
-        let busy = alpha
+        let service = alpha
             + beta * (bytes * tiers[tier].copy_passes) as f64
             + tiers[tier].link_time(bytes).as_secs_f64();
         // An inline transfer is waited at its issue point, a lane
         // transfer at its deadline.
         let (ready, stall) = if lanes == 0 {
-            (issue + busy, busy)
+            shift += service;
+            (issue + service, service)
         } else {
-            lane_free[lane] = lane_free[lane].max(issue) + busy;
-            (lane_free[lane], (lane_free[lane] - due).max(0.0))
+            lane_free[lane] = lane_free[lane].max(issue) + service;
+            (lane_free[lane], 0.0)
         };
-        busy_s += busy;
-        hidden_s += (busy - stall).max(0.0);
+        busy.push(service);
+        in_flight.push((transfers.len(), t.deadline));
         transfers.push(SwapTransfer {
             event: t.event,
             block: t.block,
@@ -794,11 +839,21 @@ pub fn expected_swap_timing(
             bytes: bytes as u64,
             issue,
             ready,
-            due,
+            // Set by `land` when the transfer is waited.
+            due: f64::NAN,
             stall,
         });
     }
-    let stall_s: f64 = transfers.iter().map(|t| t.stall).sum();
+    // Swap-outs drain when the step retires.
+    let rest = in_flight.into_iter().map(|(i, _)| i).collect();
+    land(&mut transfers, rest, bwd_end + shift);
+    let busy_s = busy.iter().sum();
+    let stall_s = transfers.iter().map(|t| t.stall).sum();
+    let hidden_s = busy
+        .iter()
+        .zip(&transfers)
+        .map(|(b, t)| (b - t.stall).max(0.0))
+        .sum();
     Ok(SwapTiming {
         transfers,
         lanes,
@@ -1173,6 +1228,56 @@ mod tests {
     }
 
     #[test]
+    fn fetches_due_at_one_step_stall_once_for_the_latest() {
+        // Blocks 0 and 1 both fetch right before B(1), on lanes 0 and 1:
+        // block 1 its interiors (its boundary is the last block's input
+        // and never left), block 0 its interiors with its riding
+        // boundary. The engine waits them one after the other at the
+        // same point, so the step stalls for the later one's lateness
+        // once, not for the sum of both.
+        let mut p = Plan::new(3);
+        let f0 = p.push(OpKind::Forward, 0, vec![]);
+        let so0 = p.push(OpKind::SwapOut, 0, vec![f0]);
+        let f1 = p.push(OpKind::Forward, 1, vec![f0]);
+        let so1 = p.push(OpKind::SwapOut, 1, vec![f1]);
+        let f2 = p.push(OpKind::Forward, 2, vec![f1]);
+        let b2 = p.push(OpKind::Backward, 2, vec![f2]);
+        let si1 = p.push(OpKind::SwapIn, 1, vec![so1, b2]);
+        let si0 = p.push(OpKind::SwapIn, 0, vec![so0, b2]);
+        let b1 = p.push(OpKind::Backward, 1, vec![b2, si1, si0]);
+        p.push(OpKind::Backward, 0, vec![b1, si0]);
+        // 16 B keys at 1/16 s per byte: a key costs 1 s on the lane.
+        let timing = expected_swap_timing(
+            &p,
+            &swap_plan_costs(),
+            &[0, 3, 6],
+            &[16; 9],
+            8,
+            &[0, 0, 0],
+            &[TierSpec::unbounded()],
+            2,
+            0.0,
+            1.0 / 16.0,
+        )
+        .unwrap();
+        let fetches: Vec<&SwapTransfer> = timing
+            .transfers
+            .iter()
+            .filter(|t| t.event == ExecEvent::SwapIn)
+            .collect();
+        assert_eq!(fetches.len(), 2);
+        assert!(fetches
+            .iter()
+            .all(|t| t.step == 1 && t.due == fetches[0].due));
+        assert_ne!(fetches[0].lane, fetches[1].lane);
+        let late: Vec<f64> = fetches.iter().map(|t| t.ready - t.due).collect();
+        assert!(late.iter().all(|&l| l > 0.0), "both fetches are late");
+        let latest = late[0].max(late[1]);
+        assert!((timing.stall_s - latest).abs() < 1e-9);
+        assert!(timing.stall_s < late[0] + late[1] - 1e-9, "not the sum");
+    }
+
+    #[test]
     fn unbounded_single_tier_lowering_matches_the_plain_path() {
         let (net, x, y) = setup();
         let p = swap_plan();
@@ -1326,18 +1431,21 @@ mod tests {
         // Sin at the swapped block's own backward step: the boundary can
         // no longer ride it, so the lowering splits the return onto its
         // own transfer at the consumer's backward instead of rejecting
-        // the plan.
-        let mut p = Plan::new(2);
+        // the plan. (Block 2 is last, so block 0's boundary is not its
+        // exempt input.)
+        let mut p = Plan::new(3);
         let f0 = p.push(OpKind::Forward, 0, vec![]);
         let so = p.push(OpKind::SwapOut, 0, vec![f0]);
         let f1 = p.push(OpKind::Forward, 1, vec![f0]);
-        let b1 = p.push(OpKind::Backward, 1, vec![f1]);
+        let f2 = p.push(OpKind::Forward, 2, vec![f1]);
+        let b2 = p.push(OpKind::Backward, 2, vec![f2]);
+        let b1 = p.push(OpKind::Backward, 1, vec![b2]);
         let si = p.push(OpKind::SwapIn, 0, vec![so, b1]);
         p.push(OpKind::Backward, 0, vec![b1, si]);
-        let exec = lower_plan(&p, &[0, 3], usize::MAX / 2, 6).unwrap();
-        assert_eq!(exec.boundary_evict(), &[true, false]);
-        assert_eq!(exec.boundary_in_before(), &[vec![], vec![0]]);
-        assert_eq!(exec.prefetch_before(), &[vec![0], vec![]]);
+        let exec = lower_plan(&p, &[0, 2, 4], usize::MAX / 2, 6).unwrap();
+        assert_eq!(exec.boundary_evict(), &[true, false, false]);
+        assert_eq!(exec.boundary_in_before(), &[vec![], vec![0], vec![]]);
+        assert_eq!(exec.prefetch_before(), &[vec![0], vec![], vec![]]);
     }
 
     #[test]
@@ -1455,6 +1563,67 @@ mod tests {
             }
         }
         assert!(isolating > 0, "no cell exercised the cut rule");
+    }
+
+    #[test]
+    fn turnaround_round_trips_move_bytes_without_lowering_the_peak() {
+        // Over the `plan_net` grid, re-add the two round trips the planner
+        // and the lowering leave out — the last block's interiors and,
+        // when block n-2 swaps, its boundary (the last block's input),
+        // both leaving after F(n-1) and back before B(n-1) — and check
+        // that they would move bytes while saving none of the peak.
+        let graph = karma_zoo::micro::conv_stack_graph(6, 4);
+        let net = karma_tensor::conv_stack(6, 4, 11);
+        let (x, y) = SyntheticDataset::classification(32, 1, 16, 4, 21).batch(0, 16);
+        let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+        let moved = |s: &crate::OocStats| s.swapped_out_bytes + s.swapped_in_bytes;
+        let mut input_trips = 0;
+        for seed in [1, 2, 17] {
+            for frac in [0.5, 0.65, 0.8] {
+                let cell = format!("seed {seed}, frac {frac}");
+                let node = toy_node(&graph, 16, frac);
+                let planned = plan_net(&graph, 16, &node, &OptConfig::fast(seed)).expect(&cell);
+                let (exec, replay) = planned.lower(&net, &x).expect(&cell);
+                let n = exec.n_blocks();
+                let last = n - 1;
+                assert_eq!(exec.policies()[last], BlockPolicy::Resident, "{cell}");
+                let (start, end) = exec.block_range(last);
+                let mut trip_bytes: usize = key_bytes[start + 1..end].iter().sum();
+                let mut policies = exec.policies().to_vec();
+                let mut evict = exec.evict_after().to_vec();
+                let mut fetch = exec.prefetch_before().to_vec();
+                policies[last] = BlockPolicy::Swap;
+                evict[last].push(last);
+                fetch[last].insert(0, last);
+                let mut b_evict = exec.boundary_evict().to_vec();
+                let mut b_out = exec.boundary_out_after().to_vec();
+                let mut b_in = exec.boundary_in_before().to_vec();
+                if n >= 2 && policies[n - 2] == BlockPolicy::Swap {
+                    assert!(!b_evict[n - 2], "{cell}: the last block's input stays");
+                    b_evict[n - 2] = true;
+                    b_out[last].insert(0, n - 2);
+                    b_in[last].insert(0, n - 2);
+                    trip_bytes += key_bytes[start];
+                    input_trips += 1;
+                }
+                let trips = OocExecutor::new(
+                    exec.boundaries().to_vec(),
+                    policies,
+                    replay.peak_bytes,
+                    exec.n_layers(),
+                )
+                .with_schedule(evict, fetch)
+                .with_boundary_schedule(b_evict, b_out, b_in)
+                .with_tiers(exec.tiers().to_vec(), exec.tier_of().to_vec());
+                let trips_replay = ResidencyReplay::of(&trips, &key_bytes).expect(&cell);
+                assert_eq!(trips_replay.peak_bytes, replay.peak_bytes, "{cell}");
+                let (_, _, stats) = exec.grad_step(&net, &x, &y, |_, _| {});
+                let (_, _, trip_stats) = trips.grad_step(&net, &x, &y, |_, _| {});
+                assert_eq!(trip_stats.peak_near_bytes, stats.peak_near_bytes, "{cell}");
+                assert_eq!(moved(&trip_stats), moved(&stats) + 2 * trip_bytes, "{cell}");
+            }
+        }
+        assert!(input_trips > 0, "no cell swapped block n-2");
     }
 
     #[test]
