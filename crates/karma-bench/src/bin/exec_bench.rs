@@ -40,7 +40,7 @@
 //!   `ResidencyReplay::of` the tiered executor;
 //! * `elastic`   — the distributed plan driven by `elastic::ElasticDriver`
 //!   through one full churn cycle (a worker dies mid-exchange, the pool
-//!   re-lowers, a joiner grows it back and re-lowers again); wall time is
+//!   shrinks, a joiner grows it back, all on one lowering); wall time is
 //!   per global step including both hot swaps, pricing recovery on top of
 //!   the steady-state distributed column;
 //! * `overlap`   — the asynchronous swap engine: the *same* bridged
@@ -447,9 +447,10 @@ fn main() {
         );
 
         // Elastic column: the same distributed plan driven through one
-        // full churn cycle — a worker dies mid-exchange, the pool is
-        // re-lowered, and a joiner grows it back (re-lowered again). Wall
-        // time is per global step *including* the two hot swaps, so the
+        // full churn cycle — a worker dies mid-exchange, the survivors
+        // re-shard onto the driver's one lowered executor, and a joiner
+        // grows the pool back. Wall time is per global step *including*
+        // the two hot swaps, so the
         // column prices what recovery costs on top of the steady-state
         // distributed path. The per-worker peak contract must survive
         // both swaps.

@@ -158,8 +158,8 @@ struct GroupBuffer {
 /// **Buffer lifecycle.** Registered once per lowered (executor, exchange)
 /// pair — the spans and sizes depend only on the schedule and the net's
 /// parameter shapes, never on the pool size, so a registration survives
-/// pool churn and is memoized alongside the lowered pair by
-/// [`crate::elastic::ElasticDriver`]. Each training step re-arms every
+/// pool churn: [`crate::elastic::ElasticDriver`] registers once, when it
+/// is built, and every pool size folds through it. Each training step re-arms every
 /// slot with that step's scheduled contributor count
 /// ([`ExchangeBuffers::begin_step`]), workers fold in
 /// ([`ExchangeBuffers::try_contribute`] at the gate,
@@ -665,7 +665,7 @@ pub fn train(
 
 /// [`train`] over caller-registered [`ExchangeBuffers`] — the entry the
 /// lowered path uses, so a registration made once at lowering time (and
-/// memoized across pool churn by [`crate::elastic::ElasticDriver`]) is
+/// shared by every pool size of an [`crate::elastic::ElasticDriver`]) is
 /// reused step after step instead of rebuilt per call. `cfg` carries the
 /// batch offset, per-worker batch size, learning rate and step count.
 pub fn train_with_buffers(

@@ -1,5 +1,5 @@
 //! Elastic fault-tolerant training on the planned path: pool churn,
-//! re-lowering, and far-store checkpoint/restore.
+//! re-sharding, and far-store checkpoint/restore.
 //!
 //! The paper's Sec. II-B argument for out-of-core data parallelism is
 //! that every worker holds a *complete* replica, so the pool can shrink
@@ -10,12 +10,14 @@
 //!   the data-parallel engine through a static [`FaultPlan`], so a worker
 //!   dying between exchange groups resolves deterministically
 //!   (complete-or-abort rule, documented there);
-//! * **Re-plan on pool change** — whenever the pool shrinks *or grows*,
-//!   [`ElasticDriver`] re-lowers the plan through the existing
-//!   `karma-core` bridge ([`lower_dist_plan`] /
-//!   [`crate::bridge::lower_plan_tiered`]) and hot-swaps the executor and
-//!   [`ExchangeSchedule`] between steps; an infeasible pool surfaces as a
-//!   typed [`ElasticError`], never a panic mid-swap;
+//! * **One lowering for every pool size** — [`ElasticDriver`] lowers the
+//!   plan once, when it is built, through the existing `karma-core` bridge
+//!   ([`lower_dist_plan`] / [`crate::bridge::lower_plan_tiered`]), and
+//!   registers its [`ExchangeBuffers`] once. The per-worker schedule does
+//!   not depend on the pool size, so whenever the pool shrinks *or grows*
+//!   the same executor and [`ExchangeSchedule`] run the re-sharded pool
+//!   from the next step; a plan that cannot lower surfaces as a typed
+//!   [`ElasticError`] before any step runs, never a panic mid-swap;
 //! * **Checkpoint/restore through the far store** — [`Checkpoint`]
 //!   serializes model + step + data cursor with the workspace serde
 //!   plumbing and parks the bytes in a [`TierStack`] slot, pricing the
@@ -32,10 +34,7 @@
 use karma_core::plan::Plan;
 use karma_tensor::{Sequential, SyntheticDataset, Tensor};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::bridge::{lower_dist_plan, lower_plan_tiered, BridgeError};
 use crate::dp::{
@@ -96,10 +95,13 @@ impl Checkpoint {
     }
 
     /// Fetch and deserialize the checkpoint at `store[tier][key]`,
-    /// leaving the slot empty. Panics when the slot is empty (like every
-    /// store read); returns a typed error when the slot holds something
-    /// that is not a checkpoint.
+    /// leaving the slot empty. Returns [`ElasticError::NoCheckpoint`] when
+    /// the slot is empty and [`ElasticError::CorruptCheckpoint`] when it
+    /// holds something that is not a checkpoint.
     pub fn load(store: &mut TierStack, tier: usize, key: usize) -> Result<Self, ElasticError> {
+        if !store.contains(tier, key) {
+            return Err(ElasticError::NoCheckpoint { tier, key });
+        }
         let t = store.swap_in(tier, key);
         let bytes: Vec<u8> = t.data.iter().map(|&v| v as u8).collect();
         let text =
@@ -176,9 +178,10 @@ impl PoolEvent {
 pub enum ElasticError {
     /// The pool is (or would become) empty.
     EmptyPool,
-    /// Re-lowering the plan for a `workers`-wide pool failed.
+    /// The plan did not lower when the driver was built, so a
+    /// `workers`-wide pool cannot run (no pool size can).
     Lower {
-        /// Pool size the lowering was for.
+        /// Pool size that asked for the lowered executor.
         workers: usize,
         /// The bridge's reason.
         source: BridgeError,
@@ -209,6 +212,13 @@ pub enum ElasticError {
     NoSpawner,
     /// A far-store slot held bytes that do not decode as a checkpoint.
     CorruptCheckpoint(String),
+    /// A far-store slot to load a checkpoint from holds nothing.
+    NoCheckpoint {
+        /// Tier of the empty slot.
+        tier: usize,
+        /// Key of the empty slot.
+        key: usize,
+    },
 }
 
 impl fmt::Display for ElasticError {
@@ -218,7 +228,7 @@ impl fmt::Display for ElasticError {
             ElasticError::Lower { workers, source } => {
                 write!(
                     f,
-                    "re-lowering for a {workers}-worker pool failed: {source}"
+                    "the plan for a {workers}-worker pool did not lower: {source}"
                 )
             }
             ElasticError::UnknownRank { step, rank, pool } => {
@@ -238,6 +248,9 @@ impl fmt::Display for ElasticError {
             }
             ElasticError::NoSpawner => write!(f, "pool growth requires a replica spawner"),
             ElasticError::CorruptCheckpoint(e) => write!(f, "corrupt checkpoint: {e}"),
+            ElasticError::NoCheckpoint { tier, key } => {
+                write!(f, "no checkpoint in far-memory tier {tier} slot {key}")
+            }
         }
     }
 }
@@ -246,55 +259,29 @@ impl std::error::Error for ElasticError {}
 
 // ---------------------------------------------------------------- driver
 
-/// How the driver produces an executor + exchange schedule for a pool.
-enum LowerPath {
-    /// Re-lower a validated plan through the bridge on every pool change
-    /// (the planned path).
-    Planned {
-        plan: Plan,
-        boundaries: Vec<usize>,
-        budget: usize,
-        n_layers: usize,
-        /// Route swaps through a far-memory tier stack
-        /// (`lower_plan_tiered`); `None` lowers single-pool.
-        tiered: Option<(Vec<usize>, Vec<TierSpec>)>,
-    },
-    /// A fixed pre-built pair: hot swaps reuse it unchanged (never
-    /// re-plans).
-    Fixed(OocExecutor, ExchangeSchedule),
+/// The one executor, exchange schedule and zero-copy buffer registration
+/// every pool size runs on.
+struct Lowered {
+    exec: OocExecutor,
+    xchg: ExchangeSchedule,
+    bufs: ExchangeBuffers,
 }
 
-/// Drives elastic training: lowers the plan for the current pool, runs
-/// phased-exchange steps, applies scheduled [`PoolEvent`]s (hot-swapping
-/// the executor and exchange schedule on every pool change), and saves /
-/// resumes [`Checkpoint`]s through a far-store tier.
+/// Drives elastic training: runs phased-exchange steps on one lowered
+/// executor + exchange schedule, applies scheduled [`PoolEvent`]s
+/// (re-sharding the pool between steps), and saves / resumes
+/// [`Checkpoint`]s through a far-store tier.
 ///
-/// Lowered pairs are **memoized per pool size**: churning back to a
-/// previously-seen size (shrink to 3, grow back to 4, …) hot-swaps the
-/// cached executor + exchange schedule instead of re-running the lowering
-/// analysis — the plan-cache idea of `karma-serve`, applied to the
-/// re-lowering path. Lowering is deterministic, so a cached pair is
-/// bitwise the pair a fresh lowering would build; the memo only skips
-/// work, never changes results.
+/// The plan is per-worker — every worker holds a complete replica — so
+/// the lowered schedule and the [`ExchangeBuffers`] spans do not depend
+/// on the pool size. The driver lowers and registers **once**, when it is
+/// built, and every pool size shares that value: a pool change only
+/// re-shards the data and the exchange divisors, both owned by the
+/// runtime. A plan that cannot lower is kept as its typed error and
+/// surfaces from [`ElasticDriver::lower_for`] and [`ElasticDriver::run`]
+/// before any step runs.
 pub struct ElasticDriver {
-    path: LowerPath,
-    /// I/O lanes every lowered executor runs its transfers on (0 =
-    /// inline transfers on the compute thread). Applied on every lowering — hot
-    /// swaps to a new pool size arm a fresh lane pool, churns back to a
-    /// memoized size reuse that size's pool (step re-arm and poisoning
-    /// semantics are the pool's, exactly as on the fixed path).
-    io_lanes: usize,
-    /// Pool size → validated lowered pair, filled on first lowering.
-    lowered: Mutex<HashMap<usize, (OocExecutor, ExchangeSchedule)>>,
-    /// Pool size → registered zero-copy exchange buffers, filled on first
-    /// use alongside the lowered pair: a hot swap to a new pool size
-    /// registers fresh buffers, churning back to a seen size reuses the
-    /// earlier registration (registration is deterministic, so reuse
-    /// never changes results — asserted by the buffer-safety tests).
-    buffers: Mutex<HashMap<usize, Arc<ExchangeBuffers>>>,
-    /// Lifetime count of [`ElasticDriver::lower_for`] calls answered from
-    /// the memo.
-    lower_cache_hits: AtomicUsize,
+    lowered: Result<Lowered, BridgeError>,
 }
 
 /// Knobs of one [`ElasticDriver::run`].
@@ -360,13 +347,13 @@ pub struct ElasticReport {
     pub final_snapshot: Vec<f32>,
     /// The constant-pool phases the run broke into.
     pub phases: Vec<PhaseInfo>,
-    /// Times the executor + exchange schedule were re-lowered and
-    /// hot-swapped (pool changes; the initial lowering is not counted).
+    /// Pool changes the run hot-swapped across: the one lowered executor
+    /// re-shards onto the new pool between steps (the initial pool is not
+    /// counted).
     pub relowers: usize,
     /// How many of this run's lowerings (initial + hot swaps) were
-    /// answered from the driver's per-pool-size memo instead of running
-    /// the lowering analysis — churn back to a previously-seen size is a
-    /// cache hit. Always 0 on the fixed path, which never re-lowers.
+    /// answered without running the lowering analysis. The driver lowers
+    /// once, when it is built, so this is always `relowers + 1`.
     pub lower_cache_hits: usize,
     /// Checkpoints saved to the far store.
     pub checkpoints_saved: usize,
@@ -390,27 +377,24 @@ pub struct ElasticReport {
 }
 
 impl ElasticDriver {
-    /// Drive the planned path: re-lower `plan` through
-    /// [`lower_dist_plan`] on every pool change.
-    pub fn from_plan(plan: Plan, boundaries: Vec<usize>, budget: usize, n_layers: usize) -> Self {
+    fn new(lowered: Result<(OocExecutor, ExchangeSchedule), BridgeError>) -> Self {
         ElasticDriver {
-            path: LowerPath::Planned {
-                plan,
-                boundaries,
-                budget,
-                n_layers,
-                tiered: None,
-            },
-            io_lanes: 0,
-            lowered: Mutex::new(HashMap::new()),
-            buffers: Mutex::new(HashMap::new()),
-            lower_cache_hits: AtomicUsize::new(0),
+            lowered: lowered.map(|(exec, xchg)| {
+                let bufs = ExchangeBuffers::register(&xchg, exec.boundaries(), exec.n_layers());
+                Lowered { exec, xchg, bufs }
+            }),
         }
+    }
+
+    /// Drive the planned path: lower `plan` once through
+    /// [`lower_dist_plan`].
+    pub fn from_plan(plan: Plan, boundaries: Vec<usize>, budget: usize, n_layers: usize) -> Self {
+        Self::new(lower_dist_plan(&plan, &boundaries, budget, n_layers))
     }
 
     /// [`ElasticDriver::from_plan`] with swaps routed through a
     /// far-memory tier stack ([`crate::bridge::lower_plan_tiered`]), so
-    /// the per-tier peak contracts ride through every hot swap.
+    /// the per-tier peak contracts ride through every pool change.
     pub fn from_plan_tiered(
         plan: Plan,
         boundaries: Vec<usize>,
@@ -419,131 +403,66 @@ impl ElasticDriver {
         key_bytes: Vec<usize>,
         tiers: Vec<TierSpec>,
     ) -> Self {
-        ElasticDriver {
-            path: LowerPath::Planned {
-                plan,
-                boundaries,
-                budget,
-                n_layers,
-                tiered: Some((key_bytes, tiers)),
-            },
-            io_lanes: 0,
-            lowered: Mutex::new(HashMap::new()),
-            buffers: Mutex::new(HashMap::new()),
-            lower_cache_hits: AtomicUsize::new(0),
-        }
+        Self::new(
+            lower_dist_plan(&plan, &boundaries, budget, n_layers).and_then(|(_, xchg)| {
+                let exec =
+                    lower_plan_tiered(&plan, &boundaries, budget, n_layers, &key_bytes, &tiers)?;
+                Ok((exec, xchg))
+            }),
+        )
     }
 
-    /// Drive a pre-built executor + exchange schedule with no
-    /// re-planning — pool changes reuse the pair unchanged.
+    /// Drive a pre-built executor + exchange schedule with no planning.
     pub fn fixed(exec: OocExecutor, xchg: ExchangeSchedule) -> Self {
-        ElasticDriver {
-            path: LowerPath::Fixed(exec, xchg),
-            io_lanes: 0,
-            lowered: Mutex::new(HashMap::new()),
-            buffers: Mutex::new(HashMap::new()),
-            lower_cache_hits: AtomicUsize::new(0),
-        }
+        Self::new(Ok((exec, xchg)))
     }
 
-    /// Run every lowered executor's transfers on `lanes` I/O lanes
+    /// Run the executor's transfers on `lanes` I/O lanes
     /// ([`OocExecutor::with_io_lanes`]); 0 keeps them inline on the
-    /// compute thread. Results are bitwise-unchanged either way — workers
-    /// within a pool share the lowered executor's lane pool (each step
+    /// compute thread. Results are bitwise-unchanged either way. Every
+    /// worker of every pool size shares the one lane pool (each step
     /// publishes through its own slot store), and the pool is re-armed
     /// per step and poisoned by a mid-transfer panic exactly like
     /// [`ExchangeBuffers`].
     pub fn with_io_lanes(mut self, lanes: usize) -> Self {
-        self.io_lanes = lanes;
+        self.lowered = self.lowered.map(|l| Lowered {
+            exec: l.exec.with_io_lanes(lanes),
+            ..l
+        });
         self
     }
 
-    /// Lower the executor + exchange schedule for a `workers`-wide pool.
-    /// The plan is per-worker, so the lowered schedule itself is
-    /// pool-size-invariant — what changes across pools is the shard map
-    /// and the exchange divisors, both owned by the runtime — but the
-    /// *first* lowering at each pool size revalidates the plan end to end
-    /// and surfaces an infeasible stack as a typed error at the swap
-    /// point. Churning back to a previously-seen size is a memo hit:
-    /// the already-validated pair is cloned out and counted in
-    /// [`ElasticReport::lower_cache_hits`].
+    /// The lowered value a `workers`-wide pool runs on.
+    fn lowered(&self, workers: usize) -> Result<&Lowered, ElasticError> {
+        if workers == 0 {
+            return Err(ElasticError::EmptyPool);
+        }
+        self.lowered.as_ref().map_err(|source| ElasticError::Lower {
+            workers,
+            source: source.clone(),
+        })
+    }
+
+    /// The executor + exchange schedule a `workers`-wide pool runs: the
+    /// one pair lowered at construction, whatever the pool size, or the
+    /// construction's typed lowering error.
     pub fn lower_for(
         &self,
         workers: usize,
     ) -> Result<(OocExecutor, ExchangeSchedule), ElasticError> {
-        if workers == 0 {
-            return Err(ElasticError::EmptyPool);
-        }
-        let arm = |exec: OocExecutor| {
-            if self.io_lanes > 0 {
-                exec.with_io_lanes(self.io_lanes)
-            } else {
-                exec
-            }
-        };
-        match &self.path {
-            LowerPath::Fixed(exec, xchg) => Ok((arm(exec.clone()), xchg.clone())),
-            LowerPath::Planned {
-                plan,
-                boundaries,
-                budget,
-                n_layers,
-                tiered,
-            } => {
-                if let Some(pair) = self.lowered.lock().unwrap().get(&workers) {
-                    self.lower_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(pair.clone());
-                }
-                let map = |source| ElasticError::Lower { workers, source };
-                let (exec, xchg) =
-                    lower_dist_plan(plan, boundaries, *budget, *n_layers).map_err(map)?;
-                let pair = match tiered {
-                    None => (arm(exec), xchg),
-                    Some((key_bytes, tiers)) => {
-                        let exec = lower_plan_tiered(
-                            plan, boundaries, *budget, *n_layers, key_bytes, tiers,
-                        )
-                        .map_err(map)?;
-                        (arm(exec), xchg)
-                    }
-                };
-                self.lowered.lock().unwrap().insert(workers, pair.clone());
-                Ok(pair)
-            }
-        }
-    }
-
-    /// The zero-copy [`ExchangeBuffers`] registration for a
-    /// `workers`-wide pool's lowered pair, memoized per pool size
-    /// alongside the pair itself: the first hot swap to a size registers
-    /// buffers for that size's exchange schedule, churning back reuses
-    /// them. Registration depends only on the schedule and the net's
-    /// layer split, so reuse is bitwise-neutral.
-    pub fn buffers_for(
-        &self,
-        workers: usize,
-        exec: &OocExecutor,
-        xchg: &ExchangeSchedule,
-        n_layers: usize,
-    ) -> Arc<ExchangeBuffers> {
-        self.buffers
-            .lock()
-            .unwrap()
-            .entry(workers)
-            .or_insert_with(|| {
-                Arc::new(ExchangeBuffers::register(xchg, exec.boundaries(), n_layers))
-            })
-            .clone()
+        let l = self.lowered(workers)?;
+        Ok((l.exec.clone(), l.xchg.clone()))
     }
 
     /// Run elastic training to `opts.total_steps`, applying the
-    /// scheduled events, re-lowering on every pool change, and
+    /// scheduled events, re-sharding on every pool change, and
     /// checkpointing into `store`. `resume` starts from a previously
     /// saved checkpoint (at its step and cursor, with its pool and
     /// parameters) instead of step 0; events before the resumed step are
     /// skipped, since the checkpointed pool already reflects them.
     /// `spawn` builds fresh replicas for growth and resume; pass `None`
-    /// when neither happens.
+    /// when neither happens. A plan that did not lower fails here with
+    /// [`ElasticError::Lower`] before `nets` or `store` are touched.
     pub fn run(
         &self,
         nets: &mut Vec<Sequential>,
@@ -553,6 +472,7 @@ impl ElasticDriver {
         store: &mut TierStack,
         resume: Option<&Checkpoint>,
     ) -> Result<ElasticReport, ElasticError> {
+        let Lowered { exec, xchg, bufs } = self.lowered(resume.map_or(nets.len(), |ck| ck.pool))?;
         let mut step = 0usize;
         let mut cursor = 0usize;
         if let Some(ck) = resume {
@@ -561,20 +481,10 @@ impl ElasticDriver {
             step = ck.step;
             cursor = ck.cursor;
         }
-        if nets.is_empty() {
-            return Err(ElasticError::EmptyPool);
-        }
-        let start_step = step;
         let start_cursor = cursor;
 
-        let hits_at_start = self.lower_cache_hits.load(Ordering::Relaxed);
-        let (mut exec, mut xchg) = self.lower_for(nets.len())?;
-        let n_layers = nets[0].len();
-        let mut bufs = self.buffers_for(nets.len(), &exec, &xchg, n_layers);
-        let n_groups = xchg.n_groups();
-
         let mut report = ElasticReport {
-            start_step,
+            start_step: step,
             losses: Vec::new(),
             pool_sizes: Vec::new(),
             final_snapshot: Vec::new(),
@@ -629,13 +539,7 @@ impl ElasticDriver {
                     PoolEvent::Fail { .. } => {} // strikes inside the step
                 }
             }
-            if changed {
-                let pair = self.lower_for(nets.len())?;
-                exec = pair.0;
-                xchg = pair.1;
-                bufs = self.buffers_for(nets.len(), &exec, &xchg, n_layers);
-                report.relowers += 1;
-            }
+            report.relowers += usize::from(changed);
 
             // Mid-step failures scheduled for this step.
             let fails: Vec<WorkerFailure> = opts
@@ -702,7 +606,7 @@ impl ElasticDriver {
                 steps: phase_steps,
             };
             let faults = FaultPlan::new(fails.clone());
-            let (phase, dead) = train_churn(nets, &exec, &xchg, &bufs, data, &cfg, &faults);
+            let (phase, dead) = train_churn(nets, exec, xchg, bufs, data, &cfg, &faults);
             for &i in dead.iter().rev() {
                 nets.remove(i);
             }
@@ -736,12 +640,8 @@ impl ElasticDriver {
             cursor += phase.samples_consumed;
             step += phase_steps;
 
-            // A fault shrank the pool: hot-swap before the next step.
+            // A fault shrank the pool: the next step re-shards.
             if !fails.is_empty() && step < opts.total_steps {
-                let pair = self.lower_for(nets.len())?;
-                exec = pair.0;
-                xchg = pair.1;
-                bufs = self.buffers_for(nets.len(), &exec, &xchg, n_layers);
                 report.relowers += 1;
             }
 
@@ -757,12 +657,11 @@ impl ElasticDriver {
                 }
             }
         }
-        debug_assert_eq!(n_groups, xchg.n_groups(), "grouping is plan-derived");
 
         report.final_snapshot = nets[0].snapshot();
         report.samples_consumed = cursor - start_cursor;
         report.cursor = cursor;
-        report.lower_cache_hits = self.lower_cache_hits.load(Ordering::Relaxed) - hits_at_start;
+        report.lower_cache_hits = report.relowers + 1;
         Ok(report)
     }
 }
@@ -870,8 +769,9 @@ mod tests {
         assert_eq!(nets.len(), 4);
         assert_eq!(report.relowers, 3, "fail, leave, and join each hot-swap");
         assert_eq!(
-            report.lower_cache_hits, 0,
-            "the fixed path clones, it never consults the memo"
+            report.lower_cache_hits,
+            report.relowers + 1,
+            "the one lowering answers the initial pool and every hot swap"
         );
         assert_eq!(report.completed_with_dead, 1);
         assert_eq!(report.aborted_groups, 1);
@@ -891,7 +791,7 @@ mod tests {
     #[test]
     fn io_lane_churn_runs_bitwise_match_the_synchronous_driver() {
         // The whole churn gauntlet — mid-step death, clean leave, growth —
-        // re-lowered onto asynchronous I/O lanes must land on the
+        // run on asynchronous I/O lanes must land on the
         // synchronous driver's bits step for step.
         let data = dataset();
         let mut opts = ElasticOptions::plain(8, 0.05, 6);
@@ -1108,6 +1008,18 @@ mod tests {
         store.swap_out(0, 3, Tensor::from_vec(&[2], vec![42.0, 1.0e9]));
         let err = Checkpoint::load(&mut store, 0, 3).unwrap_err();
         assert!(matches!(err, ElasticError::CorruptCheckpoint(_)));
+    }
+
+    #[test]
+    fn empty_far_store_slot_is_a_typed_error() {
+        let mut store = far_store();
+        let err = Checkpoint::load(&mut store, 0, 4).unwrap_err();
+        assert_eq!(err, ElasticError::NoCheckpoint { tier: 0, key: 4 });
+        // The slot next to a saved checkpoint is still empty.
+        Checkpoint::capture(&small_cnn(4, 77), 1, 8, 2).save(&mut store, 0, 3);
+        let err = Checkpoint::load(&mut store, 0, 4).unwrap_err();
+        assert_eq!(err, ElasticError::NoCheckpoint { tier: 0, key: 4 });
+        assert!(store.contains(0, 3), "a failed load touches no other slot");
     }
 
     #[test]

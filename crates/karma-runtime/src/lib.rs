@@ -34,7 +34,7 @@
 //!   transfer program, on its own tiers and I/O lanes);
 //! * [`elastic`] — fault-tolerant training on the planned path: mid-step
 //!   worker death resolved by [`dp`]'s deterministic complete-or-abort
-//!   rule, re-lowering + hot swap of the executor and exchange schedule
+//!   rule, one executor and exchange schedule lowered once and re-sharded
 //!   on every pool shrink or growth, and far-store checkpoint/restore
 //!   with bitwise-identical resume.
 //!

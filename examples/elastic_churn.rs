@@ -1,6 +1,7 @@
 //! Elastic fault-tolerant training on the planned path: a worker dies
 //! *mid-exchange*, the survivors finish the step deterministically, the
-//! pool is re-lowered and later grows back, and a far-store checkpoint
+//! pool re-shards onto the one lowered executor and later grows back, and
+//! a far-store checkpoint
 //! restores the run bitwise at the failed step — not step 0.
 //!
 //! The paper (Sec. II-B) argues out-of-core data parallelism is naturally
@@ -57,7 +58,7 @@ fn main() {
     let mut plan = cp.plan;
     append_exchange_ops(&mut plan, &phased);
 
-    // The elastic driver re-lowers this plan on every pool change.
+    // The elastic driver lowers this plan once; every pool size runs it.
     let driver = ElasticDriver::from_plan(plan, cp.bounds, replay.peak_bytes, net.len());
 
     // The churn schedule: rank 1 dies at step 2 after shipping one of
@@ -90,7 +91,7 @@ fn main() {
         full.completed_with_dead, full.aborted_groups
     );
     println!(
-        "re-lowered: {} hot swap(s) across {} phases",
+        "hot swaps : {} pool change(s) on one lowering, across {} phases",
         full.relowers,
         full.phases.len()
     );

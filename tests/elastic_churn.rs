@@ -12,25 +12,27 @@
 //!   still predicts the executed message count phase by phase;
 //! * **peak contracts** — the tiered residency prediction
 //!   (`ResidencyReplay::of` the lowered executor) bounds the executed
-//!   per-worker peaks through every re-lowering;
+//!   per-worker peaks through every pool change;
 //! * **restore** — a run resumed from a far-store checkpoint starts at
 //!   the checkpointed step (not step 0) and is bitwise-identical to the
 //!   uninterrupted run, at any thread count.
 
 use karma::core::opt::OptConfig;
 use karma::core::plan::Plan;
+use karma::core::RuntimeLowerError;
 use karma::dist::append_exchange_ops;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::net::{ExchangeGroup, PhasedExchange};
 use karma::runtime::bridge::{
-    block_grad_bytes, expected_exchange, expected_residency, plan_net, ResidencyReplay,
+    block_grad_bytes, expected_exchange, expected_residency, plan_net, BridgeError, ResidencyReplay,
 };
 use karma::runtime::dp::{train_churn_reference, ChurnConfig, FaultPlan, WorkerFailure};
-use karma::runtime::elastic::{Checkpoint, ElasticDriver, ElasticOptions, PoolEvent};
+use karma::runtime::elastic::{Checkpoint, ElasticDriver, ElasticError, ElasticOptions, PoolEvent};
 use karma::runtime::{TierSpec, TierStack};
 use karma::tensor::{conv_stack, Sequential, SyntheticDataset, Tensor};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn dataset() -> SyntheticDataset {
     SyntheticDataset::classification(384, 1, 16, 4, 21)
@@ -221,8 +223,8 @@ fn every_relowered_phase_replays_its_exchange_exactly() {
 fn tiered_peak_contracts_survive_hot_swaps() {
     // Route the planned swaps through a two-tier far stack and churn the
     // pool: the per-worker peak contracts (near + per tier) predicted
-    // from the plan must bound the whole elastic run, because hot swaps
-    // re-lower the same per-worker schedule.
+    // from the plan must bound the whole elastic run, because every pool
+    // size runs the same per-worker schedule.
     let (plan, net_bounds, _, key_bytes, n_layers) = planned();
     let pool_replay = expected_residency(&plan, &net_bounds, &key_bytes, n_layers).unwrap();
     let parked = pool_replay.peak_tier_bytes[0];
@@ -273,12 +275,11 @@ fn tiered_peak_contracts_survive_hot_swaps() {
 }
 
 #[test]
-fn churn_back_to_a_seen_pool_size_hits_the_lowering_memo_bitwise() {
-    // Shrink 3 → 2, then grow back to 3: the re-grow is a pool size the
-    // driver already lowered, so the hot swap must come from the
-    // per-size memo (lower_cache_hits == 1) — and the memoized run must
-    // land on exactly the same bits as a fresh driver that lowers every
-    // swap from scratch.
+fn one_lowering_serves_every_pool_size_bitwise() {
+    // Shrink 3 → 2, then grow back to 3: the driver lowered once, when
+    // it was built, so the initial pool and both hot swaps run on that
+    // one lowering (lower_cache_hits == 3) — and a second run on the same
+    // driver must land on exactly the same bits as the first.
     let data = dataset();
     let mut opts = ElasticOptions::plain(4, 0.05, 6);
     opts.events = vec![
@@ -298,30 +299,97 @@ fn churn_back_to_a_seen_pool_size_hits_the_lowering_memo_bitwise() {
             .expect("churn run succeeds")
     };
 
-    let (memoized_driver, _) = planned_driver();
-    let memoized = run(&memoized_driver);
-    assert_eq!(memoized.pool_sizes, vec![3, 3, 2, 2, 3, 3]);
-    assert_eq!(memoized.relowers, 2, "leave and join each hot-swap");
+    let (driver, _) = planned_driver();
+    let first = run(&driver);
+    assert_eq!(first.pool_sizes, vec![3, 3, 2, 2, 3, 3]);
+    assert_eq!(first.relowers, 2, "leave and join each hot-swap");
     assert_eq!(
-        memoized.lower_cache_hits, 1,
-        "the re-grow to 3 is a previously-seen size"
+        first.lower_cache_hits, 3,
+        "initial pool + both swaps run on the construction-time lowering"
     );
 
-    // A fresh driver per run never reuses a memo across the sizes it has
-    // not seen — its first run reports the same single hit (the re-grow),
-    // and a driver reused for a second run answers *every* lowering from
-    // the memo.
-    let rerun = run(&memoized_driver);
+    // A driver reused for a second run answers every lowering the same
+    // way, and lands on the same bits.
+    let rerun = run(&driver);
     assert_eq!(
         rerun.lower_cache_hits, 3,
         "second run: initial + both swaps all hit"
     );
     assert_eq!(
-        rerun.final_snapshot, memoized.final_snapshot,
-        "memoized lowering drifted from the fresh one"
+        rerun.final_snapshot, first.final_snapshot,
+        "reusing the lowering drifted from the first run"
     );
-    assert_eq!(rerun.losses, memoized.losses);
-    assert_eq!(rerun.exchange_messages, memoized.exchange_messages);
+    assert_eq!(rerun.losses, first.losses);
+    assert_eq!(rerun.exchange_messages, first.exchange_messages);
+}
+
+#[test]
+fn every_pool_size_shares_one_io_lane_pool() {
+    // The driver arms its one executor: every pool size it hands out
+    // runs its transfers on the same lanes.
+    let (plan, net_bounds, _, key_bytes, n_layers) = planned();
+    let replay = expected_residency(&plan, &net_bounds, &key_bytes, n_layers).unwrap();
+    let driver =
+        ElasticDriver::from_plan(plan, net_bounds, replay.peak_bytes, n_layers).with_io_lanes(2);
+    let pools: Vec<_> = [1usize, 3, 4]
+        .into_iter()
+        .map(|workers| {
+            let (exec, _) = driver.lower_for(workers).expect("pool lowers");
+            assert_eq!(exec.io_lanes(), 2);
+            exec.io_pool().expect("lanes armed").clone()
+        })
+        .collect();
+    assert!(
+        pools.iter().all(|p| Arc::ptr_eq(p, &pools[0])),
+        "a pool size got its own I/O lane pool"
+    );
+}
+
+#[test]
+fn a_plan_that_cannot_lower_fails_typed_before_any_step() {
+    // The swapping conv-stack plan on a one-byte host tier: no swapped
+    // block fits, so the construction-time lowering fails and both
+    // `lower_for` and `run` report it without touching the pool or store.
+    let (plan, net_bounds, _, key_bytes, n_layers) = planned();
+    let replay = expected_residency(&plan, &net_bounds, &key_bytes, n_layers).unwrap();
+    assert!(
+        replay.peak_tier_bytes[0] > 0,
+        "plan must actually park bytes"
+    );
+    let driver = ElasticDriver::from_plan_tiered(
+        plan,
+        net_bounds,
+        replay.peak_bytes,
+        n_layers,
+        key_bytes,
+        vec![TierSpec::host(1)],
+    );
+    let is_capacity_error = |err: &ElasticError, pool: usize| {
+        matches!(
+            err,
+            ElasticError::Lower {
+                workers,
+                source: BridgeError::Lower(RuntimeLowerError::TierCapacityExceeded { .. }),
+            } if *workers == pool
+        )
+    };
+    let err = driver.lower_for(3).unwrap_err();
+    assert!(is_capacity_error(&err, 3), "{err}");
+
+    let mut nets: Vec<Sequential> = (0..3).map(|_| fresh_net()).collect();
+    let before: Vec<Vec<f32>> = nets.iter().map(Sequential::snapshot).collect();
+    let mut store = far_store();
+    let mut opts = ElasticOptions::plain(4, 0.05, 4);
+    opts.checkpoint_every = Some(1);
+    let spawn = fresh_net;
+    let err = driver
+        .run(&mut nets, Some(&spawn), &dataset(), &opts, &mut store, None)
+        .unwrap_err();
+    assert!(is_capacity_error(&err, 3), "{err}");
+    let after: Vec<Vec<f32>> = nets.iter().map(Sequential::snapshot).collect();
+    assert_eq!(after, before, "a step ran before the lowering error");
+    assert!(!store.contains(0, 0), "a checkpoint was saved");
+    assert_eq!(store.transfers(), 0, "the store was touched");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!   blocks (cross-checked with the sized registration).
 //!
 //! Plus the buffer-safety properties: registered group spans never
-//! alias, `ElasticDriver`'s per-pool-size buffer memo is bitwise-neutral
+//! alias, `ElasticDriver`'s one buffer registration is bitwise-neutral
 //! across hot swaps, and a contributor panicking mid-fold poisons the
 //! buffer instead of letting a partial accumulation be observed.
 
@@ -181,11 +181,12 @@ fn churn_matches_both_oracles_bitwise() {
 }
 
 #[test]
-fn elastic_buffer_memo_is_bitwise_neutral_across_hot_swaps() {
-    // Shrink 4 → 3, then grow back to 4: the second visit to each pool
-    // size reuses the memoized buffer registration. Running the same
-    // schedule twice on one driver (run 2 hits every memo run 1 filled)
-    // must land on identical bits — reuse only skips work.
+fn elastic_one_registration_is_bitwise_neutral_across_hot_swaps() {
+    // Shrink 4 → 3, then grow back to 4: every pool size folds through
+    // the one registration made when the driver was built. Running the
+    // same schedule twice on one driver (run 2 reuses every buffer run 1
+    // folded through) must land on identical bits — reuse only skips
+    // work.
     let data = SyntheticDataset::classification(512, 1, 16, 4, 33);
     let driver = ElasticDriver::fixed(ooc_exec(replicas(1)[0].len()), two_groups());
     let mut opts = ElasticOptions::plain(8, 0.05, 5);
@@ -209,15 +210,15 @@ fn elastic_buffer_memo_is_bitwise_neutral_across_hot_swaps() {
             .expect("elastic run succeeds")
     };
     let first = run(&driver);
-    let second = run(&driver); // all-memo-hit run
+    let second = run(&driver); // reuses run 1's registration
     assert_eq!(
         first.final_snapshot, second.final_snapshot,
-        "memo moved bits"
+        "registration reuse moved bits"
     );
     assert_eq!(first.losses, second.losses);
     assert_eq!(first.pool_sizes, vec![4, 4, 3, 4, 4]);
 
-    // And both equal a driver with a cold memo (fresh registration).
+    // And both equal a fresh driver (fresh registration).
     let cold = ElasticDriver::fixed(ooc_exec(replicas(1)[0].len()), two_groups());
     let fresh = run(&cold);
     assert_eq!(first.final_snapshot, fresh.final_snapshot);
