@@ -8,10 +8,11 @@
 //!
 //! [`lower_plan`] turns a validated `karma-core` [`Plan`] into a configured
 //! [`OocExecutor`]: per-block [`BlockPolicy`] assignment plus the plan's
-//! exact eviction order and prefetch schedule (via
-//! [`OocExecutor::with_schedule`]). Plans the executor cannot realize come
-//! back as a typed [`BridgeError`], never a panic — the planner side of
-//! that analysis lives in `karma_core::bridge::lower_to_runtime`.
+//! exact eviction order and, as each fetch's latest issue step, its
+//! prefetch schedule (via [`OocExecutor::with_schedule`]). Plans the
+//! executor cannot realize come back as a typed [`BridgeError`], never a
+//! panic — the planner side of that analysis lives in
+//! `karma_core::bridge::lower_to_runtime`.
 //!
 //! Distributed plans lower too: [`lower_dist_plan`] additionally turns
 //! the plan's `AR`/`U` ops (analysed into a
@@ -75,7 +76,7 @@ use std::fmt;
 
 use crate::dp::ExchangeSchedule;
 use crate::exec::{BlockPolicy, ExecEvent, OocExecutor, ResidencySample};
-use crate::program::{Op, TransferProgram};
+use crate::program::{Op, Transfer, TransferProgram};
 use crate::store::TierSpec;
 
 /// Why a plan could not be bridged onto the executor.
@@ -267,11 +268,13 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 
 /// Lower `plan` into a runnable executor over `boundaries` (start layer of
 /// each block, net-layer space) with a near-memory byte `budget`. The
-/// executor reproduces the plan's per-block policies, eviction order and
-/// prefetch schedule exactly. Distributed plans are accepted — their
-/// `AR`/`U` ops describe the *exchange*, which the executor does not run;
-/// use [`lower_dist_plan`] to also recover the exchange grouping for
-/// [`crate::dp::train`].
+/// executor reproduces the plan's per-block policies and eviction order
+/// exactly. The plan's prefetch step is each fetch's latest issue step:
+/// the executor issues it at the earliest backward step its replayed
+/// residency allows ([`ResidencyReplay::of`] predicts where).
+/// Distributed plans are accepted — their `AR`/`U` ops describe the
+/// *exchange*, which the executor does not run; use [`lower_dist_plan`]
+/// to also recover the exchange grouping for [`crate::dp::train`].
 ///
 /// ```
 /// use karma_core::plan::{OpKind, Plan};
@@ -657,7 +660,8 @@ pub struct SwapTransfer {
     pub event: ExecEvent,
     /// The block whose bytes move.
     pub block: usize,
-    /// The forward (out) or backward (in) step that issues the transfer.
+    /// The forward (out) or backward (in) step that issues the transfer:
+    /// a fetch's placed step, which is never later than its scheduled one.
     pub step: usize,
     /// The far tier the bytes move to/from (`tier_of[block]`).
     pub tier: usize,
@@ -716,7 +720,8 @@ pub struct SwapTiming {
 
 /// Model the wall-clock swap timing of `plan` lowered onto a swap engine
 /// with `lanes` I/O lanes: a fold over the same transfer program the
-/// executor interprets. Issue instants come from each transfer's step on
+/// executor interprets, its fetches placed from `key_bytes` as the
+/// engine places them. Issue instants come from each transfer's step on
 /// the cost model's compute timeline (forward prefix sums, Eq. 8
 /// [`karma_core::occupancy::OccupancyModel`] backward finish times),
 /// ready instants from an α–β-per-lane transfer model (`alpha` seconds
@@ -752,7 +757,8 @@ pub fn expected_swap_timing(
     }
     // The executor is never run: only its transfer program is read.
     let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
-    let program = TransferProgram::new(&exec.with_tiers(tiers.to_vec(), tier_of.to_vec()));
+    let mut program = TransferProgram::new(&exec.with_tiers(tiers.to_vec(), tier_of.to_vec()));
+    program.place_fetches(key_bytes);
     let n = plan.n_blocks;
 
     // Compute timeline. Forward step b retires at the forward prefix sum;
@@ -906,9 +912,11 @@ impl ResidencyReplay {
     /// output otherwise, so `key_bytes.len()` must be the executor's layer
     /// count + 1): a fold of bytes over the same transfer program the
     /// executor interprets, with each transfer on the tier the program
-    /// routes it to. Returns the exact residency trajectory, per-tier far
-    /// trajectory and high-water marks [`OocExecutor::grad_step_traced`]
-    /// will produce, whatever built the executor.
+    /// routes it to and each fetch placed at the earliest step the peak
+    /// allows, exactly as the engine places it. Returns the exact
+    /// residency trajectory, per-tier far trajectory and high-water marks
+    /// [`OocExecutor::grad_step_traced`] will produce, whatever built the
+    /// executor.
     ///
     /// The far tier of a fetch discharges where the engine waits for it:
     /// at its issue point without I/O lanes, at its deadline step's
@@ -920,9 +928,9 @@ impl ResidencyReplay {
     pub fn of(exec: &OocExecutor, key_bytes: &[usize]) -> Result<Self, BridgeError> {
         let n_layers = exec.n_layers();
         check_key_bytes(key_bytes, n_layers)?;
-        let program = TransferProgram::new(exec);
+        let mut program = TransferProgram::new(exec);
+        program.place_fetches(key_bytes);
         let inline = exec.io_lanes() == 0;
-        let bytes = |keys: std::ops::Range<usize>| -> usize { key_bytes[keys].iter().sum() };
         let mut cur = key_bytes[0]; // the input batch
         let mut peak = cur;
         let mut far = vec![0usize; exec.tiers().len()];
@@ -930,36 +938,20 @@ impl ResidencyReplay {
         // Issued fetches not yet waited: (tier, bytes, deadline step).
         let mut in_flight: Vec<(usize, usize, Option<usize>)> = Vec::new();
         let mut samples = Vec::with_capacity(program.ops.len());
+        let moved = |t: &Transfer| -> usize { key_bytes[t.keys.clone()].iter().sum() };
         for op in &program.ops {
+            let (high, after) = program.near_step(op, cur, key_bytes);
+            (cur, peak) = (after, peak.max(high));
             let event = match op {
-                Op::Forward(b) => {
-                    // A recompute block's interiors exist only inside its
-                    // forward: the peak sees them, the sample does not.
-                    let (s, e) = program.range(*b);
-                    cur += bytes(s + 1..e + 1);
-                    peak = peak.max(cur);
-                    if program.recomputes(*b) {
-                        cur -= bytes(s + 1..e);
-                    }
-                    Some((ExecEvent::Forward, *b))
-                }
+                Op::Forward(b) => Some((ExecEvent::Forward, *b)),
                 Op::Out(t) => {
-                    let moved = bytes(t.keys.clone());
-                    cur -= moved;
-                    far[t.tier] += moved;
+                    far[t.tier] += moved(t);
                     peak_tier[t.tier] = peak_tier[t.tier].max(far[t.tier]);
                     Some((t.event, t.block))
                 }
-                // The executor releases the logits before the backward.
-                Op::Loss => {
-                    cur -= key_bytes[n_layers];
-                    None
-                }
+                Op::Loss => None,
                 Op::In(t) => {
-                    let moved = bytes(t.keys.clone());
-                    cur += moved;
-                    peak = peak.max(cur);
-                    in_flight.push((t.tier, moved, t.deadline));
+                    in_flight.push((t.tier, moved(t), t.deadline));
                     Some((t.event, t.block))
                 }
                 // The deadline wait discharges the source tier before the
@@ -975,19 +967,8 @@ impl ResidencyReplay {
                     });
                     None
                 }
-                Op::Recompute(b) => {
-                    let (s, e) = program.range(*b);
-                    cur += bytes(s + 1..e);
-                    peak = peak.max(cur);
-                    Some((ExecEvent::Recompute, *b))
-                }
-                // Backward releases the interior plus the block's input
-                // boundary (its top boundary went with the block above).
-                Op::Backward(b) => {
-                    let (s, e) = program.range(*b);
-                    cur -= bytes(s..e);
-                    Some((ExecEvent::Backward, *b))
-                }
+                Op::Recompute(b) => Some((ExecEvent::Recompute, *b)),
+                Op::Backward(b) => Some((ExecEvent::Backward, *b)),
             };
             // The engine's one backend rule: an inline transfer is waited
             // at its issue point, a lane transfer at its deadline.
@@ -1247,11 +1228,15 @@ mod tests {
         let b1 = p.push(OpKind::Backward, 1, vec![b2, si1, si0]);
         p.push(OpKind::Backward, 0, vec![b1, si0]);
         // 16 B keys at 1/16 s per byte: a key costs 1 s on the lane.
+        // Block 2's interior is 48 B wide, so the step-1 peak leaves no
+        // room to issue either fetch beside it at step 2.
+        let mut key_bytes = [16; 9];
+        key_bytes[7] = 48;
         let timing = expected_swap_timing(
             &p,
             &swap_plan_costs(),
             &[0, 3, 6],
-            &[16; 9],
+            &key_bytes,
             8,
             &[0, 0, 0],
             &[TierSpec::unbounded()],

@@ -224,7 +224,7 @@ pub struct OocExecutor {
     /// memory right after block `j`'s forward.
     evict_after: Vec<Vec<usize>>,
     /// `prefetch_before[j]` — swap-policy blocks whose interiors return to
-    /// near memory right before backward step `j` is processed.
+    /// near memory no later than right before backward step `j`.
     prefetch_before: Vec<Vec<usize>>,
     /// Per-block boundary eviction flag (swap-policy blocks below the
     /// last only; default all-resident).
@@ -233,9 +233,9 @@ pub struct OocExecutor {
     /// after forward step `j` (`j >= block + 1`: the consumer's forward
     /// must have read it).
     boundary_out_after: Vec<Vec<usize>>,
-    /// `boundary_in_before[j]` — blocks whose boundary returns right
-    /// before backward step `j` (`j >= block + 1`: back before the
-    /// consumer's backward).
+    /// `boundary_in_before[j]` — blocks whose boundary returns no later
+    /// than right before backward step `j` (`j >= block + 1`: back before
+    /// the consumer's backward).
     boundary_in_before: Vec<Vec<usize>>,
     /// The far-memory tier stack, fastest first (default: one unbounded
     /// host-speed tier — the classic single pool).
@@ -300,7 +300,7 @@ impl OocExecutor {
     /// Choose the swap engine's backend: a pool of `lanes` dedicated FIFO
     /// I/O lanes, or inline transfers on the compute thread for
     /// `lanes = 0` (the default). Every transfer is issued at its
-    /// scheduled point either way; an inline one is waited right there,
+    /// placed point either way; an inline one is waited right there,
     /// a lane one only at its deadline, so its copy passes and link time
     /// overlap compute instead of blocking it. The backend never changes
     /// the arithmetic or the near-memory trajectory; only the wall clock
@@ -346,10 +346,13 @@ impl OocExecutor {
 
     /// Replace the transfer schedule: `evict_after[j]` lists the blocks to
     /// swap out after block `j`'s forward, `prefetch_before[j]` the blocks
-    /// to swap in before backward step `j`. Every swap-policy block must
-    /// appear exactly once in each; an eviction cannot precede its block's
-    /// forward (`e <= j`) and a fetch cannot follow its block's backward
-    /// (`p <= j`). This is the hook the plan→runtime bridge drives.
+    /// to swap in no later than backward step `j`. Every swap-policy block
+    /// must appear exactly once in each; an eviction cannot precede its
+    /// block's forward (`e <= j`) and a fetch cannot follow its block's
+    /// backward (`p <= j`). A fetch's step is its *latest* issue step:
+    /// each step, the engine issues it at the earliest backward step
+    /// whose residency, plus the fetch, stays within the step's peak.
+    /// This is the hook the plan→runtime bridge drives.
     pub fn with_schedule(
         mut self,
         evict_after: Vec<Vec<usize>>,
@@ -392,10 +395,12 @@ impl OocExecutor {
     /// evict (the last block's boundary is the logits, consumed by the
     /// loss; recompute checkpoints never travel), and both schedule
     /// steps must be `>= b + 1` — after the consumer's forward read the
-    /// boundary, back before the consumer's backward needs it. A
+    /// boundary, back before the consumer's backward needs it; a return
+    /// step, like a prefetch step, is the latest the return issues at. A
     /// boundary scheduled at its block's own eviction/prefetch step
-    /// rides that swap-out/swap-in as one transfer; otherwise it is a
-    /// separate [`ExecEvent::BoundaryOut`]/[`ExecEvent::BoundaryIn`].
+    /// rides that swap-out/swap-in as one transfer, unless the interiors
+    /// can issue earlier alone; otherwise it is a separate
+    /// [`ExecEvent::BoundaryOut`]/[`ExecEvent::BoundaryIn`].
     pub fn with_boundary_schedule(
         mut self,
         evict: Vec<bool>,
@@ -486,7 +491,8 @@ impl OocExecutor {
         &self.evict_after
     }
 
-    /// Backward-phase prefetch schedule.
+    /// Backward-phase prefetch schedule: each fetch's latest issue step
+    /// (see [`OocExecutor::with_schedule`]).
     pub fn prefetch_before(&self) -> &[Vec<usize>] {
         &self.prefetch_before
     }
@@ -501,7 +507,8 @@ impl OocExecutor {
         &self.boundary_out_after
     }
 
-    /// Backward-phase boundary-return schedule.
+    /// Backward-phase boundary-return schedule: each return's latest
+    /// issue step.
     pub fn boundary_in_before(&self) -> &[Vec<usize>] {
         &self.boundary_in_before
     }
@@ -571,13 +578,16 @@ impl OocExecutor {
         (loss, grads, stats, trace)
     }
 
-    /// The swap engine: interpret the step's [`TransferProgram`]. Every
-    /// transfer is charged at its issue point — near memory reserved,
+    /// The swap engine: interpret the step's [`TransferProgram`], placing
+    /// its fetches ([`TransferProgram::place_fetches`]) at the loss from
+    /// the key bytes the forward sweep recorded. Every transfer is
+    /// charged at its issue point — near memory reserved,
     /// the far tier charged — and its priced copy submitted to the
     /// backend: the transfer's I/O lane ([`Transfer::lane`]), or inline
     /// on the compute thread without lanes. Same-lane FIFO order (and
     /// inline program order) lands a block's swap-out in the
-    /// [`SlotStore`] before its swap-in takes it. The backend decides only *where* a transfer is waited:
+    /// [`SlotStore`] before its swap-in takes it. The backend decides
+    /// only *where* a transfer is waited:
     /// inline at its issue point, on a lane at its deadline. The far
     /// tier discharges at that wait, so in-flight bytes stay charged to
     /// the tier they are leaving; the near trajectory is the same on
@@ -596,7 +606,7 @@ impl OocExecutor {
             // Poison check + per-step re-arm, like `ExchangeBuffers`.
             pool.begin_step();
         }
-        let program = TransferProgram::new(self);
+        let mut program = TransferProgram::new(self);
         let slots = Arc::new(SlotStore::new());
         let mut near = NearMemory::new(self.budget);
         let mut far = TierStack::new(&self.tiers);
@@ -604,14 +614,21 @@ impl OocExecutor {
         let mut in_flight: Vec<Flight> = Vec::new();
         let mut per_layer = vec![ParamGrads::default(); self.n_layers];
         let (mut loss, mut dy) = (0.0, None);
+        // Every key's bytes, recorded as the forward sweep creates it:
+        // what the backward half's fetches are placed by.
+        let mut key_bytes = vec![0usize; self.n_layers + 1];
+        key_bytes[0] = x.bytes();
 
         near.put(0, x.clone());
-        for op in &program.ops {
-            let event = match *op {
+        let mut pc = 0;
+        while let Some(op) = program.ops.get(pc).cloned() {
+            pc += 1;
+            let event = match op {
                 Op::Forward(b) => {
                     let (start, end) = program.range(b);
                     for i in start..end {
                         let y = net.layers[i].forward(near.get(i));
+                        key_bytes[i + 1] = y.bytes();
                         near.put(i + 1, y);
                     }
                     if program.recomputes(b) {
@@ -653,6 +670,7 @@ impl OocExecutor {
                     let logits = near.take(self.n_layers);
                     let (l, grad) = Sequential::softmax_xent(&logits, labels);
                     (loss, dy) = (l, Some(grad));
+                    program.place_fetches(&key_bytes);
                     None
                 }
                 Op::In(ref t) => {
@@ -1072,7 +1090,9 @@ mod tests {
     #[test]
     fn co_scheduled_boundary_rides_the_swap_out() {
         // Interior eviction deferred to the consumer's forward step: the
-        // boundary merges into the same swap-out, no separate event.
+        // boundary merges into the same swap-out, no separate event. (The
+        // return may split: fetch placement can issue the interiors
+        // earlier than the boundary.)
         let (mut net, x, y) = setup();
         let exec = OocExecutor::new(
             vec![0, 3, 6],
@@ -1095,7 +1115,6 @@ mod tests {
         assert_eq!(stats.boundary_in_ops, 1);
         let count = |ev: ExecEvent| trace.iter().filter(|s| s.event == ev).count();
         assert_eq!(count(ExecEvent::BoundaryOut), 0, "merged into the Sout");
-        assert_eq!(count(ExecEvent::BoundaryIn), 0, "merged into the Sin");
         assert_eq!(count(ExecEvent::SwapOut), 1);
         for _ in 0..2 {
             exec.train_step(&mut net, &x, &y, 0.05);

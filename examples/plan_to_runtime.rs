@@ -38,7 +38,7 @@ fn main() {
     // near-memory budget from the plan's own residency replay.
     let (exec, replay) = cp.lower(&net, &x).expect("plan lowers to the executor");
     println!(
-        "executor  : {} blocks, budget {} B, prefetch {:?}",
+        "executor  : {} blocks, budget {} B, latest prefetch steps {:?}",
         exec.n_blocks(),
         replay.peak_bytes,
         exec.prefetch_before()

@@ -10,20 +10,26 @@
 //!
 //! The oracle is the plan, not a second walk of the schedule:
 //!
-//! * the program's swap-outs and swap-ins correspond one-to-one and in
-//!   order with the plan's `SwapOut`/`SwapIn` ops — same block, same
-//!   issuing step (a `SwapOut` issues after the latest forward before
-//!   it, a `SwapIn` before the backward step of the next compute op);
-//! * a boundary rides its block's transfer exactly when the lowered
-//!   schedule names the block at its own eviction (fetch) step, and moves
-//!   on a transfer of its own at its scheduled step otherwise.
+//! * the program's swap-outs correspond one-to-one and in order with the
+//!   plan's `SwapOut` ops — same block, same issuing step (after the
+//!   latest forward before it);
+//! * its swap-ins correspond one-to-one with the plan's `SwapIn` ops by
+//!   block, each issuing no later than the backward step of the plan's
+//!   next compute op and not before the fwd→bwd turnaround: fetch
+//!   placement may issue a fetch earlier, never later;
+//! * a boundary rides its block's swap-out exactly when the lowered
+//!   schedule names the block at its own eviction step, and departs on a
+//!   transfer of its own at its scheduled step otherwise. A returning
+//!   boundary rides its block's swap-in only when the schedule names
+//!   both at one step; placement may split that pair, and then the
+//!   interiors issue earlier than the boundary.
 
 use karma::core::cost::BlockCosts;
 use karma::core::plan::{OpKind, Plan};
 use karma::core::{lower_to_runtime, OptConfig};
 use karma::graph::{MemoryParams, ModelGraph};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
-use karma::runtime::bridge::{expected_swap_timing, plan_net};
+use karma::runtime::bridge::{expected_swap_timing, plan_net, SwapTransfer};
 use karma::runtime::{ExecEvent, TierSpec};
 use karma::zoo::micro::{conv_stack_graph, mlp_stack_graph, resnet_style_graph};
 
@@ -106,7 +112,7 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
         .unwrap_or_else(|e| panic!("{name}: {e}"));
 
         // The plan's own transfer ops, in plan order, with their steps.
-        let (mut plan_outs, mut plan_ins) = (Vec::new(), Vec::new());
+        let (mut plan_outs, mut plan_ins): (Vec<_>, Vec<_>) = (Vec::new(), Vec::new());
         let mut last_forward = None;
         for (i, op) in plan.ops.iter().enumerate() {
             match op.kind {
@@ -124,46 +130,86 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
                 _ => {}
             }
         }
-        let program = |event| -> Vec<(usize, usize)> {
-            let of_kind = timing.transfers.iter().filter(|t| t.event == event);
-            of_kind.map(|t| (t.block, t.step)).collect()
-        };
-        assert_eq!(program(ExecEvent::SwapOut), plan_outs, "{name}: swap-outs");
-        assert_eq!(program(ExecEvent::SwapIn), plan_ins, "{name}: swap-ins");
+        let outs: Vec<(usize, usize)> = timing
+            .transfers
+            .iter()
+            .filter(|t| t.event == ExecEvent::SwapOut)
+            .map(|t| (t.block, t.step))
+            .collect();
+        assert_eq!(outs, plan_outs, "{name}: swap-outs");
+        let mut ins: Vec<&SwapTransfer> = timing
+            .transfers
+            .iter()
+            .filter(|t| t.event == ExecEvent::SwapIn)
+            .collect();
+        ins.sort_by_key(|t| t.block);
+        plan_ins.sort_unstable();
+        assert_eq!(ins.len(), plan_ins.len(), "{name}: swap-ins");
+        let turnaround: f64 = costs.forward.iter().sum();
+        for (t, &(block, latest)) in ins.iter().zip(&plan_ins) {
+            assert_eq!(t.block, block, "{name}: swap-ins");
+            assert!(
+                (latest..n).contains(&t.step),
+                "{name}: {t:?} after {latest}"
+            );
+            assert!(t.issue >= turnaround, "{name}: {t:?} before the turnaround");
+        }
         swaps += plan_outs.len();
 
         // Riding vs moving alone, against the lowered boundary schedule.
         let sched = lower_to_runtime(&plan).unwrap();
         let interior = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers) - bounds[b] - 1;
+        // The step a schedule list names block `b` at: a fetch's latest.
+        let named_at = |lists: &[Vec<usize>], b: usize| (0..n).find(|&j| lists[j].contains(&b));
         let (mut carried_out, mut carried_in) = (Vec::new(), Vec::new());
         for t in &timing.transfers {
-            let (interiors, boundaries, carried) = match t.event {
-                ExecEvent::SwapOut | ExecEvent::BoundaryOut => (
-                    &sched.evict_after,
-                    &sched.boundary_evict_after,
-                    &mut carried_out,
-                ),
-                _ => (
-                    &sched.prefetch_before,
-                    &sched.boundary_fetch_before,
-                    &mut carried_in,
-                ),
-            };
-            let named = boundaries[t.step].contains(&t.block);
-            if matches!(t.event, ExecEvent::SwapOut | ExecEvent::SwapIn) {
-                assert!(interiors[t.step].contains(&t.block), "{name}: {t:?}");
-                assert_eq!(t.bytes as usize, interior(t.block) + usize::from(named));
-                riding += usize::from(named);
-            } else {
-                assert!(
-                    named && !interiors[t.step].contains(&t.block),
-                    "{name}: {t:?}"
-                );
-                assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
-                alone += 1;
-            }
-            if named {
-                carried.push((t.step, t.block));
+            match t.event {
+                ExecEvent::SwapOut => {
+                    assert!(
+                        sched.evict_after[t.step].contains(&t.block),
+                        "{name}: {t:?}"
+                    );
+                    let named = sched.boundary_evict_after[t.step].contains(&t.block);
+                    assert_eq!(t.bytes as usize, interior(t.block) + usize::from(named));
+                    riding += usize::from(named);
+                    if named {
+                        carried_out.push((t.step, t.block));
+                    }
+                }
+                ExecEvent::BoundaryOut => {
+                    assert!(
+                        sched.boundary_evict_after[t.step].contains(&t.block)
+                            && !sched.evict_after[t.step].contains(&t.block),
+                        "{name}: {t:?}"
+                    );
+                    assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
+                    alone += 1;
+                    carried_out.push((t.step, t.block));
+                }
+                ExecEvent::SwapIn => {
+                    let due = named_at(&sched.prefetch_before, t.block).expect("a scheduled Sin");
+                    let carries = t.bytes as usize - interior(t.block);
+                    assert!(carries <= 1, "{name}: {t:?}");
+                    if carries == 1 {
+                        let boundary_due = named_at(&sched.boundary_fetch_before, t.block);
+                        assert_eq!(boundary_due, Some(due), "{name}: {t:?} rides");
+                        riding += 1;
+                        carried_in.push((due, t.block));
+                    }
+                }
+                ExecEvent::BoundaryIn => {
+                    let due = named_at(&sched.boundary_fetch_before, t.block)
+                        .expect("a scheduled boundary return");
+                    assert!((due..n).contains(&t.step), "{name}: {t:?} after {due}");
+                    assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
+                    if sched.prefetch_before[due].contains(&t.block) {
+                        let sin = ins.iter().find(|s| s.block == t.block).unwrap();
+                        assert!(sin.step > t.step, "{name}: {t:?} split without moving");
+                    }
+                    alone += 1;
+                    carried_in.push((due, t.block));
+                }
+                _ => unreachable!("{name}: {t:?} is not a transfer"),
             }
         }
         // Every scheduled boundary move happens exactly once.
