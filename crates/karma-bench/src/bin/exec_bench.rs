@@ -70,6 +70,7 @@
 use std::time::Instant;
 
 use karma_bench::report::{BenchEntry, BenchReport, ModelSpeedup};
+use karma_core::bridge::{lower_to_runtime, LoweredPolicy, RuntimeSchedule};
 use karma_core::opt::OptConfig;
 use karma_dist::{append_exchange_ops, zero_effective_capacity};
 use karma_graph::{MemoryParams, ModelGraph};
@@ -127,6 +128,36 @@ impl Samples {
     fn best(&self) -> f64 {
         self.0[0]
     }
+}
+
+/// The near-memory peak of `sched` over a net cut at `bounds` with every
+/// boundary pinned resident: the schedule as written (each fetch at the
+/// step it names) with its boundary lists left out.
+fn pinned_boundary_peak(sched: &RuntimeSchedule, bounds: &[usize], key_bytes: &[usize]) -> usize {
+    let n_layers = key_bytes.len() - 1;
+    let end = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers);
+    let interior = |b: usize| -> usize { key_bytes[bounds[b] + 1..end(b)].iter().sum() };
+    let interiors = |blocks: &[usize]| -> usize { blocks.iter().map(|&b| interior(b)).sum() };
+    let recomputes = |b: usize| sched.policies[b] == LoweredPolicy::Recompute;
+    let (mut cur, mut peak) = (key_bytes[0], key_bytes[0]);
+    for b in 0..bounds.len() {
+        cur += interior(b) + key_bytes[end(b)];
+        peak = peak.max(cur);
+        if recomputes(b) {
+            cur -= interior(b);
+        }
+        cur -= interiors(&sched.evict_after[b]);
+    }
+    cur -= key_bytes[n_layers];
+    for b in (0..bounds.len()).rev() {
+        cur += interiors(&sched.prefetch_before[b]);
+        if recomputes(b) {
+            cur += interior(b);
+        }
+        peak = peak.max(cur);
+        cur -= key_bytes[bounds[b]] + interior(b);
+    }
+    peak
 }
 
 fn main() {
@@ -261,20 +292,11 @@ fn main() {
             "{}: executed peak != modeled peak",
             graph.name
         );
-        if bridged.boundary_evict().iter().any(|e| *e) {
-            let pinned = OocExecutor::new(
-                net_bounds.clone(),
-                bridged.policies().to_vec(),
-                usize::MAX / 2,
-                net.len(),
-            )
-            .with_schedule(
-                bridged.evict_after().to_vec(),
-                bridged.prefetch_before().to_vec(),
-            );
-            let (_, _, s_pin) = pinned.grad_step(&net, &x, &y, |_, _| {});
+        let sched = lower_to_runtime(plan).expect("planner plan must lower");
+        if sched.boundary_evict_blocks() > 0 {
+            let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
             assert!(
-                s_br.peak_near_bytes < s_pin.peak_near_bytes,
+                s_br.peak_near_bytes < pinned_boundary_peak(&sched, net_bounds, &key_bytes),
                 "{}: boundary eviction did not shrink the peak",
                 graph.name
             );

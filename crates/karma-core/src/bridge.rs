@@ -30,8 +30,8 @@ use std::fmt;
 
 use crate::plan::{OpKind, Plan};
 
-/// Per-block activation policy derived from a plan's op sequence — the
-/// plan-level mirror of the runtime's `BlockPolicy`.
+/// Per-block activation policy derived from a plan's op sequence. The
+/// runtime executes it as is: `karma_runtime::BlockPolicy` is this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LoweredPolicy {
     /// No swap or recompute ops: activations stay resident.
@@ -377,10 +377,6 @@ pub struct RuntimeSchedule {
     /// `prefetch_before[j]` — blocks whose interiors swap back in right
     /// before backward step `j` is processed, in plan issue order.
     pub prefetch_before: Vec<Vec<usize>>,
-    /// Largest prefetch distance in the plan: how many backward steps
-    /// before its own a swap-in is issued (0 = every fetch is
-    /// just-in-time).
-    pub prefetch_depth: usize,
     /// One boundary-residency policy per block: every swap-policy block
     /// below the last two evicts its boundary (the cost model prices its
     /// departure), everything else keeps it resident.
@@ -626,14 +622,16 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
                 if so < ix.fwd[b].unwrap() {
                     return Err(RuntimeLowerError::SwapOutBeforeForward { block: b });
                 }
+                // Before the phase checks: a Sin ahead of its Sout is
+                // also ahead of the backward phase the Sout then lands in.
+                if si < so {
+                    return Err(RuntimeLowerError::SwapInBeforeSwapOut { block: b });
+                }
                 if so >= first_bwd_phase {
                     return Err(RuntimeLowerError::SwapOutInBackwardPhase { block: b });
                 }
                 if si <= last_fwd {
                     return Err(RuntimeLowerError::SwapInDuringForward { block: b });
-                }
-                if si < so {
-                    return Err(RuntimeLowerError::SwapInBeforeSwapOut { block: b });
                 }
                 if si > ix.bwd[b].unwrap() {
                     return Err(RuntimeLowerError::SwapInAfterBackward { block: b });
@@ -687,7 +685,6 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
     // next compute op.
     let mut prefetch_before = vec![Vec::new(); n];
     let mut fetch_step = vec![usize::MAX; n];
-    let mut prefetch_depth = 0usize;
     let mut sins: Vec<(usize, usize)> = (0..n).filter_map(|b| ix.sin[b].map(|i| (i, b))).collect();
     sins.sort_unstable();
     for (i, b) in sins {
@@ -700,7 +697,6 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
             // between a re-forward and its backward.
             return Err(RuntimeLowerError::SwapInSplitsRecompute { block: b });
         }
-        prefetch_depth = prefetch_depth.max(j - b);
         prefetch_before[j].push(b);
         fetch_step[b] = j;
     }
@@ -756,7 +752,6 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
         policies,
         evict_after,
         prefetch_before,
-        prefetch_depth,
         boundary,
         boundary_evict_after,
         boundary_fetch_before,
@@ -893,8 +888,6 @@ mod tests {
         }
         assert_eq!(s.swap_blocks(), cp.plan.count(OpKind::SwapOut));
         assert_eq!(s.swap_blocks(), cp.plan.count(OpKind::SwapIn));
-        // Capacity-based prefetch issues fetches ahead of their use.
-        assert!(s.prefetch_depth > 0);
         // Forward-phase evictions come front to back.
         let order = s.eviction_order();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
@@ -1056,7 +1049,6 @@ mod tests {
         let cp = build_training_plan(&c, &CapacityPlanOptions::karma(4));
         let s = lower_to_runtime(&cp.plan).unwrap();
         assert!(s.policies.iter().all(|p| *p == LoweredPolicy::Resident));
-        assert_eq!(s.prefetch_depth, 0);
         assert!(s.eviction_order().is_empty());
     }
 
@@ -1258,6 +1250,61 @@ mod tests {
             lower_to_runtime(&p),
             Err(RuntimeLowerError::RecomputeNotAdjacent { block: 0 })
         );
+    }
+
+    #[test]
+    fn each_malformed_op_order_names_its_error() {
+        use OpKind::{Backward as B, Forward as F, Recompute as R, SwapIn as Si, SwapOut as So};
+        use RuntimeLowerError::*;
+        // Ops in issue order; the lowering reads positions, not deps.
+        let plan = |n: usize, ops: &[(OpKind, usize)]| {
+            let mut p = Plan::new(n);
+            for &(kind, block) in ops {
+                p.push(kind, block, vec![]);
+            }
+            p
+        };
+        let cases = [
+            (
+                plan(2, &[(F, 0), (F, 1), (B, 1), (Si, 0), (B, 0)]),
+                SwapInWithoutSwapOut { block: 0 },
+            ),
+            (
+                plan(2, &[(So, 0), (F, 0), (F, 1), (B, 1), (Si, 0), (B, 0)]),
+                SwapOutBeforeForward { block: 0 },
+            ),
+            (
+                plan(2, &[(F, 0), (F, 1), (B, 1), (So, 0), (Si, 0), (B, 0)]),
+                SwapOutInBackwardPhase { block: 0 },
+            ),
+            (
+                plan(2, &[(F, 0), (So, 0), (Si, 0), (F, 1), (B, 1), (B, 0)]),
+                SwapInDuringForward { block: 0 },
+            ),
+            (
+                plan(2, &[(F, 0), (F, 1), (B, 1), (Si, 0), (So, 0), (B, 0)]),
+                SwapInBeforeSwapOut { block: 0 },
+            ),
+            (
+                plan(2, &[(F, 0), (R, 0), (F, 1), (B, 1), (B, 0)]),
+                RecomputeDuringForward { block: 0 },
+            ),
+            (
+                plan(1, &[(F, 0), (B, 0), (B, 0)]),
+                DuplicateOp { op: B, block: 0 },
+            ),
+            (
+                plan(2, &[(F, 0), (F, 1), (B, 1)]),
+                MissingBackward { block: 0 },
+            ),
+            (
+                plan(2, &[(F, 1), (F, 0), (B, 1), (B, 0)]),
+                ForwardOutOfOrder { block: 1 },
+            ),
+        ];
+        for (p, want) in cases {
+            assert_eq!(lower_to_runtime(&p), Err(want), "{}", p.notation());
+        }
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! near-memory budget from the plan's own residency replay and lowers it.
 //!
 //! [`lower_plan`] turns a validated `karma-core` [`Plan`] into a configured
-//! [`OocExecutor`]: per-block [`BlockPolicy`] assignment plus the plan's
-//! exact eviction order and, as each fetch's latest issue step, its
-//! prefetch schedule (via [`OocExecutor::with_schedule`]). Plans the
-//! executor cannot realize come back as a typed [`BridgeError`], never a
-//! panic — the planner side of that analysis lives in
-//! `karma_core::bridge::lower_to_runtime`.
+//! [`OocExecutor`]: `karma_core::bridge::lower_to_runtime` extracts the
+//! per-block [`crate::BlockPolicy`], the plan's exact eviction order, its
+//! prefetch schedule (each fetch's latest issue step) and the boundary
+//! departures and returns, and the executor lowers that schedule once
+//! into the transfer program it holds and interprets every step. Plans
+//! the executor cannot realize come back as a typed [`BridgeError`],
+//! never a panic; nothing re-checks the schedule after
+//! `lower_to_runtime`.
 //!
 //! Distributed plans lower too: [`lower_dist_plan`] additionally turns
 //! the plan's `AR`/`U` ops (analysed into a
@@ -59,8 +61,7 @@
 //! ```
 
 use karma_core::bridge::{
-    assign_tiers, lower_to_runtime, BoundaryPolicy, LoweredPolicy, RuntimeLowerError,
-    RuntimeSchedule, TierPolicy,
+    assign_tiers, lower_to_runtime, RuntimeLowerError, RuntimeSchedule, TierPolicy,
 };
 use karma_core::capacity::{build_training_plan, CapacityPlanOptions};
 use karma_core::cost::{BlockCosts, LayerCostTable};
@@ -75,8 +76,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::dp::ExchangeSchedule;
-use crate::exec::{BlockPolicy, ExecEvent, OocExecutor, ResidencySample};
-use crate::program::{Op, Transfer, TransferProgram};
+use crate::exec::{ExecEvent, OocExecutor, ResidencySample};
+use crate::program::{Op, Transfer};
 use crate::store::TierSpec;
 
 /// Why a plan could not be bridged onto the executor.
@@ -277,9 +278,10 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 /// to also recover the exchange grouping for [`crate::dp::train`].
 ///
 /// ```
+/// use karma_core::bridge::lower_to_runtime;
 /// use karma_core::plan::{OpKind, Plan};
-/// use karma_runtime::bridge::lower_plan;
-/// use karma_runtime::BlockPolicy;
+/// use karma_runtime::bridge::{lower_plan, ResidencyReplay};
+/// use karma_runtime::{BlockPolicy, ExecEvent};
 ///
 /// // Three blocks, block 0 swapped out during the forward sweep and
 /// // fetched after B(2) — before block 1's backward, which restarts
@@ -294,17 +296,39 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 /// let b1 = p.push(OpKind::Backward, 1, vec![b2]);
 /// p.push(OpKind::Backward, 0, vec![b1, si]);
 ///
+/// // The schedule the executor lowers: block 0 evicts after F(0) and is
+/// // fetched by B(1). Its boundary leaves once F(1) has read it and
+/// // returns riding its swap-in. (Block 1's boundary is the last block's
+/// // input and would leave and return at the turnaround: it stays.)
+/// let sched = lower_to_runtime(&p).unwrap();
+/// assert_eq!(sched.evict_after, [vec![0], vec![], vec![]]);
+/// assert_eq!(sched.prefetch_before, [vec![], vec![0], vec![]]);
+/// assert_eq!(sched.boundary_evict_after, [vec![], vec![0], vec![]]);
+/// assert_eq!(sched.boundary_fetch_before, [vec![], vec![0], vec![]]);
+///
 /// let exec = lower_plan(&p, &[0, 3, 6], usize::MAX / 2, 8).unwrap();
 /// use BlockPolicy::{Resident, Swap};
 /// assert_eq!(exec.policies(), &[Swap, Resident, Resident]);
-/// assert_eq!(exec.evict_after(), &[vec![0], vec![], vec![]]);
-/// assert_eq!(exec.prefetch_before(), &[vec![], vec![0], vec![]]);
-/// // Block 0's boundary leaves once F(1) has read it and returns riding
-/// // its swap-in. (Block 1's boundary is the last block's input and
-/// // would leave and return at the turnaround: it stays.)
-/// assert_eq!(exec.boundary_evict(), &[true, false, false]);
-/// assert_eq!(exec.boundary_out_after(), &[vec![], vec![0], vec![]]);
-/// assert_eq!(exec.boundary_in_before(), &[vec![], vec![0], vec![]]);
+/// // The executor's program, as its replay samples it: the interiors
+/// // leave after F(0), the boundary after F(1), and both return before
+/// // B(1) as one transfer.
+/// let replay = ResidencyReplay::of(&exec, &[16; 9]).unwrap();
+/// let events: Vec<_> = replay.samples.iter().map(|s| (s.event, s.block)).collect();
+/// use ExecEvent::{Backward, BoundaryOut, Forward, SwapIn, SwapOut};
+/// assert_eq!(
+///     events,
+///     [
+///         (Forward, 0),
+///         (SwapOut, 0),
+///         (Forward, 1),
+///         (BoundaryOut, 0),
+///         (Forward, 2),
+///         (Backward, 2),
+///         (SwapIn, 0),
+///         (Backward, 1),
+///         (Backward, 0),
+///     ]
+/// );
 /// ```
 pub fn lower_plan(
     plan: &Plan,
@@ -338,10 +362,9 @@ pub fn lower_plan_tiered(
         return Err(BridgeError::Lower(RuntimeLowerError::TierStackEmpty));
     }
     let (sched, exec) = lower_priced(plan, boundaries, budget, n_layers, key_bytes)?;
-    let program = TransferProgram::new(&exec);
     let (interior_bytes, boundary_bytes): (Vec<usize>, Vec<usize>) = (0..plan.n_blocks)
         .map(|b| {
-            let (s, e) = program.range(b);
+            let (s, e) = exec.block_range(b);
             (key_bytes[s + 1..e].iter().sum::<usize>(), key_bytes[e])
         })
         .unzip();
@@ -414,29 +437,12 @@ fn build_executor(
     n_layers: usize,
 ) -> Result<OocExecutor, BridgeError> {
     check_boundaries(plan, boundaries, n_layers)?;
-    let policy: Vec<BlockPolicy> = sched
-        .policies
-        .iter()
-        .map(|p| match p {
-            LoweredPolicy::Resident => BlockPolicy::Resident,
-            LoweredPolicy::Swap => BlockPolicy::Swap,
-            LoweredPolicy::Recompute => BlockPolicy::Recompute,
-        })
-        .collect();
-    let boundary_evict: Vec<bool> = sched
-        .boundary
-        .iter()
-        .map(|p| *p == BoundaryPolicy::Evict)
-        .collect();
-    Ok(
-        OocExecutor::new(boundaries.to_vec(), policy, budget, n_layers)
-            .with_schedule(sched.evict_after.clone(), sched.prefetch_before.clone())
-            .with_boundary_schedule(
-                boundary_evict,
-                sched.boundary_evict_after.clone(),
-                sched.boundary_fetch_before.clone(),
-            ),
-    )
+    Ok(OocExecutor::from_schedule(
+        boundaries.to_vec(),
+        sched,
+        budget,
+        n_layers,
+    ))
 }
 
 /// Lower a (possibly distributed) `plan` into the executor *and* the
@@ -757,7 +763,10 @@ pub fn expected_swap_timing(
     }
     // The executor is never run: only its transfer program is read.
     let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
-    let mut program = TransferProgram::new(&exec.with_tiers(tiers.to_vec(), tier_of.to_vec()));
+    let mut program = exec
+        .with_tiers(tiers.to_vec(), tier_of.to_vec())
+        .program()
+        .clone();
     program.place_fetches(key_bytes);
     let n = plan.n_blocks;
 
@@ -928,7 +937,7 @@ impl ResidencyReplay {
     pub fn of(exec: &OocExecutor, key_bytes: &[usize]) -> Result<Self, BridgeError> {
         let n_layers = exec.n_layers();
         check_key_bytes(key_bytes, n_layers)?;
-        let mut program = TransferProgram::new(exec);
+        let mut program = exec.program().clone();
         program.place_fetches(key_bytes);
         let inline = exec.io_lanes() == 0;
         let mut cur = key_bytes[0]; // the input batch
@@ -1020,6 +1029,7 @@ pub fn expected_residency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockPolicy;
     use karma_tensor::{small_cnn, SyntheticDataset, Tensor};
 
     fn setup() -> (karma_tensor::Sequential, Tensor, Vec<usize>) {
@@ -1053,7 +1063,7 @@ mod tests {
         assert_eq!(stats.swap_in_ops, p.count(OpKind::SwapIn));
         assert_eq!(stats.recompute_ops, p.count(OpKind::Recompute));
         // The plan prefetches block 0 one step early (before B(1)).
-        assert_eq!(exec.prefetch_before()[1], vec![0]);
+        assert_eq!(lower_to_runtime(&p).unwrap().prefetch_before[1], vec![0]);
     }
 
     #[test]
@@ -1355,7 +1365,7 @@ mod tests {
         let (net, x, y) = setup();
         let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
         for lanes in [0, 2] {
-            let exec = crate::program::two_tier_boundary_evicting_executor().with_io_lanes(lanes);
+            let exec = crate::program::two_tier_boundary_evicting_executor(8).with_io_lanes(lanes);
             let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
             let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
             assert_eq!(trace, replay.samples, "{lanes} lanes");
@@ -1427,10 +1437,11 @@ mod tests {
         let b1 = p.push(OpKind::Backward, 1, vec![b2]);
         let si = p.push(OpKind::SwapIn, 0, vec![so, b1]);
         p.push(OpKind::Backward, 0, vec![b1, si]);
-        let exec = lower_plan(&p, &[0, 2, 4], usize::MAX / 2, 6).unwrap();
-        assert_eq!(exec.boundary_evict(), &[true, false, false]);
-        assert_eq!(exec.boundary_in_before(), &[vec![], vec![0], vec![]]);
-        assert_eq!(exec.prefetch_before(), &[vec![0], vec![], vec![]]);
+        lower_plan(&p, &[0, 2, 4], usize::MAX / 2, 6).unwrap();
+        let sched = lower_to_runtime(&p).unwrap();
+        assert_eq!(sched.boundary_evict_blocks(), 1);
+        assert_eq!(sched.boundary_fetch_before, [vec![], vec![0], vec![]]);
+        assert_eq!(sched.prefetch_before, [vec![0], vec![], vec![]]);
     }
 
     #[test]
@@ -1552,6 +1563,7 @@ mod tests {
 
     #[test]
     fn turnaround_round_trips_move_bytes_without_lowering_the_peak() {
+        use karma_core::bridge::BoundaryPolicy;
         // Over the `plan_net` grid, re-add the two round trips the planner
         // and the lowering leave out — the last block's interiors and,
         // when block n-2 swaps, its boundary (the last block's input),
@@ -1574,31 +1586,28 @@ mod tests {
                 assert_eq!(exec.policies()[last], BlockPolicy::Resident, "{cell}");
                 let (start, end) = exec.block_range(last);
                 let mut trip_bytes: usize = key_bytes[start + 1..end].iter().sum();
-                let mut policies = exec.policies().to_vec();
-                let mut evict = exec.evict_after().to_vec();
-                let mut fetch = exec.prefetch_before().to_vec();
-                policies[last] = BlockPolicy::Swap;
-                evict[last].push(last);
-                fetch[last].insert(0, last);
-                let mut b_evict = exec.boundary_evict().to_vec();
-                let mut b_out = exec.boundary_out_after().to_vec();
-                let mut b_in = exec.boundary_in_before().to_vec();
-                if n >= 2 && policies[n - 2] == BlockPolicy::Swap {
-                    assert!(!b_evict[n - 2], "{cell}: the last block's input stays");
-                    b_evict[n - 2] = true;
-                    b_out[last].insert(0, n - 2);
-                    b_in[last].insert(0, n - 2);
+                let mut sched = lower_to_runtime(&planned.plan).expect(&cell);
+                sched.policies[last] = BlockPolicy::Swap;
+                sched.evict_after[last].push(last);
+                sched.prefetch_before[last].insert(0, last);
+                if n >= 2 && sched.policies[n - 2] == BlockPolicy::Swap {
+                    assert_eq!(
+                        sched.boundary[n - 2],
+                        BoundaryPolicy::Resident,
+                        "{cell}: the last block's input stays"
+                    );
+                    sched.boundary[n - 2] = BoundaryPolicy::Evict;
+                    sched.boundary_evict_after[last].insert(0, n - 2);
+                    sched.boundary_fetch_before[last].insert(0, n - 2);
                     trip_bytes += key_bytes[start];
                     input_trips += 1;
                 }
-                let trips = OocExecutor::new(
+                let trips = OocExecutor::from_schedule(
                     exec.boundaries().to_vec(),
-                    policies,
+                    &sched,
                     replay.peak_bytes,
                     exec.n_layers(),
                 )
-                .with_schedule(evict, fetch)
-                .with_boundary_schedule(b_evict, b_out, b_in)
                 .with_tiers(exec.tiers().to_vec(), exec.tier_of().to_vec());
                 let trips_replay = ResidencyReplay::of(&trips, &key_bytes).expect(&cell);
                 assert_eq!(trips_replay.peak_bytes, replay.peak_bytes, "{cell}");

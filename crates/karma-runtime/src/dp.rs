@@ -47,9 +47,8 @@ use crate::exec::{OocExecutor, OocStats};
 
 /// The grouped gradient-exchange shape for one training step: which
 /// blocks ship together, in launch order. This is the runtime mirror of
-/// `karma_core::bridge::DistSchedule` (kept free of planner types so the
-/// parity-critical execution path stays independent of the analysis
-/// stack, like `BlockPolicy` mirrors `LoweredPolicy`).
+/// `karma_core::bridge::DistSchedule`, kept free of planner types so
+/// the exchange needs nothing from the analysis stack.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExchangeSchedule {
     /// Member blocks per group: contiguous, descending within each group

@@ -1,5 +1,6 @@
 //! The out-of-core executor: real training steps under a near-memory budget.
 
+use karma_core::bridge::{BoundaryPolicy, RuntimeSchedule, TierPolicy};
 use karma_tensor::layers::ParamGrads;
 use karma_tensor::{Gradients, Sequential, Tensor};
 use rayon::io::{IoHandle, IoLanePool};
@@ -10,19 +11,9 @@ use std::time::{Duration, Instant};
 use crate::program::{Op, Transfer, TransferProgram};
 use crate::store::{priced_transfer, NearMemory, SlotStore, TierSpec, TierStack};
 
-/// Per-block activation policy (the executable analogue of the planner's
-/// swap / recompute / resident decisions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BlockPolicy {
-    /// Keep interior activations in near memory through the iteration.
-    Resident,
-    /// Move interior activations to far memory after the block's forward,
-    /// fetch them back for its backward.
-    Swap,
-    /// Drop interior activations after the block's forward, re-forward the
-    /// block from its input boundary during backward.
-    Recompute,
-}
+/// Per-block activation policy: the planner's swap / recompute /
+/// resident decision, executed as the lowering emits it.
+pub use karma_core::bridge::LoweredPolicy as BlockPolicy;
 
 /// Execution accounting for one step.
 ///
@@ -203,40 +194,29 @@ impl Flight {
 
 /// Runs real training steps with per-block out-of-core policies.
 ///
-/// Block `b` covers layers `[boundaries[b], boundaries[b+1])`. Boundary
-/// residency is **policy-driven**: by default every block's boundary
-/// activation (its final output — the next block's input, and the
-/// checkpoint recompute restarts from) stays in near memory, but a
-/// schedule set via [`OocExecutor::with_boundary_schedule`] evicts a
-/// swap-policy block's boundary along with the block — once the consumer
-/// block's forward has read it — and returns it before the consumer's
-/// backward. The final logits and recompute checkpoints always stay.
-/// Weights stay resident (single-GPU KARMA semantics; the distributed
-/// pipeline streams weights, which is modelled in `karma-dist` and
-/// exercised here only through gradients).
+/// Block `b` covers layers `[boundaries[b], boundaries[b+1])`. The
+/// executor holds its schedule in one form: a transfer program lowered
+/// once, when it is built, and interpreted every step. The bridge's
+/// [`crate::bridge::lower_plan`] lowers a plan's schedule, in which a
+/// swap-policy block's boundary activation (its final output — the next
+/// block's input, and the checkpoint recompute restarts from) leaves
+/// with the block once the consumer block's forward has read it, and
+/// returns before the consumer's backward. [`OocExecutor::new`] lowers
+/// the just-in-time schedule, which keeps every boundary in near memory.
+/// The final logits and recompute checkpoints always stay. Weights stay
+/// resident (single-GPU KARMA semantics; the distributed pipeline
+/// streams weights, which is modelled in `karma-dist` and exercised here
+/// only through gradients).
 #[derive(Debug, Clone)]
 pub struct OocExecutor {
     boundaries: Vec<usize>,
-    policy: Vec<BlockPolicy>,
     budget: usize,
     n_layers: usize,
-    /// `evict_after[j]` — swap-policy blocks whose interiors move to far
-    /// memory right after block `j`'s forward.
-    evict_after: Vec<Vec<usize>>,
-    /// `prefetch_before[j]` — swap-policy blocks whose interiors return to
-    /// near memory no later than right before backward step `j`.
-    prefetch_before: Vec<Vec<usize>>,
-    /// Per-block boundary eviction flag (swap-policy blocks below the
-    /// last only; default all-resident).
-    boundary_evict: Vec<bool>,
-    /// `boundary_out_after[j]` — blocks whose boundary departs right
-    /// after forward step `j` (`j >= block + 1`: the consumer's forward
-    /// must have read it).
-    boundary_out_after: Vec<Vec<usize>>,
-    /// `boundary_in_before[j]` — blocks whose boundary returns no later
-    /// than right before backward step `j` (`j >= block + 1`: back before
-    /// the consumer's backward).
-    boundary_in_before: Vec<Vec<usize>>,
+    /// The step as a transfer program: block policies, evictions,
+    /// fetches at their latest issue steps, boundary departures and
+    /// returns, each transfer on its block's tier. Each step places a
+    /// copy's fetches; this one never changes after `with_tiers`.
+    program: TransferProgram,
     /// The far-memory tier stack, fastest first (default: one unbounded
     /// host-speed tier — the classic single pool).
     tiers: Vec<TierSpec>,
@@ -252,45 +232,70 @@ pub struct OocExecutor {
 impl OocExecutor {
     /// Build an executor over block `boundaries` (start layer of each
     /// block, first entry 0) with one policy per block and a near-memory
-    /// byte `budget` for activations. The default transfer schedule is
-    /// just-in-time: each swap block evicts right after its own forward
-    /// and fetches right before its own backward; use
-    /// [`OocExecutor::with_schedule`] for plan-driven orders.
+    /// byte `budget` for activations, on the just-in-time schedule: each
+    /// swap block evicts its interiors right after its own forward and
+    /// fetches them right before its own backward, and every boundary
+    /// stays in near memory. Plan-driven schedules come from
+    /// [`crate::bridge::lower_plan`].
     pub fn new(
         boundaries: Vec<usize>,
         policy: Vec<BlockPolicy>,
         budget: usize,
         n_layers: usize,
     ) -> Self {
-        assert!(!boundaries.is_empty() && boundaries[0] == 0);
-        assert_eq!(boundaries.len(), policy.len(), "one policy per block");
         assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "boundaries must increase"
+            boundaries.first() == Some(&0)
+                && boundaries.windows(2).all(|w| w[0] < w[1])
+                && boundaries.last() < Some(&n_layers),
+            "boundaries must start at 0, increase and stay below the layer count"
         );
-        assert!(*boundaries.last().unwrap() < n_layers);
-        let jit: Vec<Vec<usize>> = policy
-            .iter()
-            .enumerate()
-            .map(|(b, p)| {
-                if *p == BlockPolicy::Swap {
-                    vec![b]
+        assert_eq!(boundaries.len(), policy.len(), "one policy per block");
+        let nb = boundaries.len();
+        let swaps = |b: usize| policy[b] == BlockPolicy::Swap;
+        let jit: Vec<Vec<usize>> = (0..nb)
+            .map(|b| if swaps(b) { vec![b] } else { Vec::new() })
+            .collect();
+        let tier = (0..nb)
+            .map(|b| {
+                if swaps(b) {
+                    TierPolicy::Far(0)
                 } else {
-                    Vec::new()
+                    TierPolicy::Device
                 }
             })
             .collect();
-        let nb = boundaries.len();
-        OocExecutor {
-            boundaries,
-            policy,
-            budget,
-            n_layers,
+        let sched = RuntimeSchedule {
             evict_after: jit.clone(),
             prefetch_before: jit,
-            boundary_evict: vec![false; nb],
-            boundary_out_after: vec![Vec::new(); nb],
-            boundary_in_before: vec![Vec::new(); nb],
+            boundary: vec![BoundaryPolicy::Resident; nb],
+            boundary_evict_after: vec![Vec::new(); nb],
+            boundary_fetch_before: vec![Vec::new(); nb],
+            tier,
+            dist: None,
+            policies: policy,
+        };
+        OocExecutor::from_schedule(boundaries, &sched, budget, n_layers)
+    }
+
+    /// The executor of `sched` over `boundaries`: its transfer program,
+    /// lowered here once, on one unbounded far tier and inline
+    /// transfers. The one constructor; the schedule is taken as checked
+    /// (`lower_to_runtime` answers an unrealizable plan with a typed
+    /// error, and `new` builds its default from checked policies).
+    pub(crate) fn from_schedule(
+        boundaries: Vec<usize>,
+        sched: &RuntimeSchedule,
+        budget: usize,
+        n_layers: usize,
+    ) -> Self {
+        let nb = boundaries.len();
+        let ends = boundaries.iter().skip(1).copied().chain([n_layers]);
+        let ranges = boundaries.iter().copied().zip(ends).collect();
+        OocExecutor {
+            program: TransferProgram::lower(sched, ranges),
+            boundaries,
+            budget,
+            n_layers,
             tiers: vec![TierSpec::unbounded()],
             tier_of: vec![0; nb],
             io_pool: None,
@@ -328,9 +333,10 @@ impl OocExecutor {
         self.io_pool.as_ref().is_some_and(|p| p.poisoned())
     }
 
-    /// Replace the far-memory tier stack and per-block routing:
-    /// `tiers` is the stack fastest-first, `tier_of[b]` the tier block
-    /// `b`'s swap traffic parks in. Tier indices must be in range; the
+    /// Replace the far-memory tier stack and per-block routing, and route
+    /// every transfer of the held program accordingly: `tiers` is the
+    /// stack fastest-first, `tier_of[b]` the tier block `b`'s swap
+    /// traffic parks in. Tier indices must be in range; the
     /// assignment is only consulted for blocks that actually swap, so
     /// resident/recompute blocks may carry any valid index.
     pub fn with_tiers(mut self, tiers: Vec<TierSpec>, tier_of: Vec<usize>) -> Self {
@@ -339,124 +345,9 @@ impl OocExecutor {
         for (b, &t) in tier_of.iter().enumerate() {
             assert!(t < tiers.len(), "block {b} routed to missing tier {t}");
         }
+        self.program.route(&tier_of);
         self.tiers = tiers;
         self.tier_of = tier_of;
-        self
-    }
-
-    /// Replace the transfer schedule: `evict_after[j]` lists the blocks to
-    /// swap out after block `j`'s forward, `prefetch_before[j]` the blocks
-    /// to swap in no later than backward step `j`. Every swap-policy block
-    /// must appear exactly once in each; an eviction cannot precede its
-    /// block's forward (`e <= j`) and a fetch cannot follow its block's
-    /// backward (`p <= j`). A fetch's step is its *latest* issue step:
-    /// each step, the engine issues it at the earliest backward step
-    /// whose residency, plus the fetch, stays within the step's peak.
-    /// This is the hook the plan→runtime bridge drives.
-    pub fn with_schedule(
-        mut self,
-        evict_after: Vec<Vec<usize>>,
-        prefetch_before: Vec<Vec<usize>>,
-    ) -> Self {
-        let n = self.n_blocks();
-        assert_eq!(evict_after.len(), n, "one eviction list per block");
-        assert_eq!(prefetch_before.len(), n, "one prefetch list per block");
-        let mut evicted = vec![0usize; n];
-        let mut fetched = vec![0usize; n];
-        for (j, list) in evict_after.iter().enumerate() {
-            for &e in list {
-                assert!(e <= j, "block {e} evicted before its forward (step {j})");
-                assert_eq!(self.policy[e], BlockPolicy::Swap, "block {e} never swaps");
-                evicted[e] += 1;
-            }
-        }
-        for (j, list) in prefetch_before.iter().enumerate() {
-            for &p in list {
-                assert!(p <= j, "block {p} fetched after its backward (step {j})");
-                assert_eq!(self.policy[p], BlockPolicy::Swap, "block {p} never swaps");
-                fetched[p] += 1;
-            }
-        }
-        for b in 0..n {
-            let want = usize::from(self.policy[b] == BlockPolicy::Swap);
-            assert_eq!(evicted[b], want, "block {b} eviction count");
-            assert_eq!(fetched[b], want, "block {b} fetch count");
-        }
-        self.evict_after = evict_after;
-        self.prefetch_before = prefetch_before;
-        self
-    }
-
-    /// Set the boundary-residency schedule: `evict[b]` marks block `b`'s
-    /// boundary activation for eviction, `out_after[j]` lists the blocks
-    /// whose boundary departs right after forward step `j`, and
-    /// `in_before[j]` the blocks whose boundary returns right before
-    /// backward step `j`. Only swap-policy blocks below the last may
-    /// evict (the last block's boundary is the logits, consumed by the
-    /// loss; recompute checkpoints never travel), and both schedule
-    /// steps must be `>= b + 1` — after the consumer's forward read the
-    /// boundary, back before the consumer's backward needs it; a return
-    /// step, like a prefetch step, is the latest the return issues at. A
-    /// boundary scheduled at its block's own eviction/prefetch step
-    /// rides that swap-out/swap-in as one transfer, unless the interiors
-    /// can issue earlier alone; otherwise it is a separate
-    /// [`ExecEvent::BoundaryOut`]/[`ExecEvent::BoundaryIn`].
-    pub fn with_boundary_schedule(
-        mut self,
-        evict: Vec<bool>,
-        out_after: Vec<Vec<usize>>,
-        in_before: Vec<Vec<usize>>,
-    ) -> Self {
-        let n = self.n_blocks();
-        assert_eq!(evict.len(), n, "one boundary flag per block");
-        assert_eq!(out_after.len(), n, "one boundary-eviction list per block");
-        assert_eq!(in_before.len(), n, "one boundary-fetch list per block");
-        for (b, &e) in evict.iter().enumerate() {
-            if !e {
-                continue;
-            }
-            assert_eq!(
-                self.policy[b],
-                BlockPolicy::Swap,
-                "block {b} keeps its boundary: only swap blocks evict theirs"
-            );
-            assert!(
-                b + 1 < n,
-                "the last block's boundary (the logits) cannot be evicted"
-            );
-        }
-        let mut out = vec![0usize; n];
-        let mut inn = vec![0usize; n];
-        for (j, list) in out_after.iter().enumerate() {
-            for &e in list {
-                assert!(
-                    j > e,
-                    "boundary of block {e} evicted before block {}'s forward read it",
-                    e + 1
-                );
-                assert!(evict[e], "block {e} has no boundary eviction");
-                out[e] += 1;
-            }
-        }
-        for (j, list) in in_before.iter().enumerate() {
-            for &p in list {
-                assert!(
-                    j > p,
-                    "boundary of block {p} fetched after block {}'s backward consumed it",
-                    p + 1
-                );
-                assert!(evict[p], "block {p} has no boundary eviction");
-                inn[p] += 1;
-            }
-        }
-        for b in 0..n {
-            let want = usize::from(evict[b]);
-            assert_eq!(out[b], want, "block {b} boundary-eviction count");
-            assert_eq!(inn[b], want, "block {b} boundary-fetch count");
-        }
-        self.boundary_evict = evict;
-        self.boundary_out_after = out_after;
-        self.boundary_in_before = in_before;
         self
     }
 
@@ -478,39 +369,12 @@ impl OocExecutor {
 
     /// Block policies.
     pub fn policies(&self) -> &[BlockPolicy] {
-        &self.policy
+        self.program.policies()
     }
 
     /// Block boundaries (start layer of each block).
     pub fn boundaries(&self) -> &[usize] {
         &self.boundaries
-    }
-
-    /// Forward-phase eviction schedule.
-    pub fn evict_after(&self) -> &[Vec<usize>] {
-        &self.evict_after
-    }
-
-    /// Backward-phase prefetch schedule: each fetch's latest issue step
-    /// (see [`OocExecutor::with_schedule`]).
-    pub fn prefetch_before(&self) -> &[Vec<usize>] {
-        &self.prefetch_before
-    }
-
-    /// Per-block boundary-eviction flags.
-    pub fn boundary_evict(&self) -> &[bool] {
-        &self.boundary_evict
-    }
-
-    /// Forward-phase boundary-departure schedule.
-    pub fn boundary_out_after(&self) -> &[Vec<usize>] {
-        &self.boundary_out_after
-    }
-
-    /// Backward-phase boundary-return schedule: each return's latest
-    /// issue step.
-    pub fn boundary_in_before(&self) -> &[Vec<usize>] {
-        &self.boundary_in_before
     }
 
     /// The far-memory tier stack, fastest first.
@@ -528,9 +392,13 @@ impl OocExecutor {
     }
 
     pub(crate) fn block_range(&self, b: usize) -> (usize, usize) {
-        let start = self.boundaries[b];
-        let end = self.boundaries.get(b + 1).copied().unwrap_or(self.n_layers);
-        (start, end)
+        self.program.range(b)
+    }
+
+    /// The transfer program the executor interprets. Interpreters place
+    /// the fetches of a copy.
+    pub(crate) fn program(&self) -> &TransferProgram {
+        &self.program
     }
 
     /// One full training step: forward (with policy-driven eviction),
@@ -578,9 +446,10 @@ impl OocExecutor {
         (loss, grads, stats, trace)
     }
 
-    /// The swap engine: interpret the step's [`TransferProgram`], placing
-    /// its fetches ([`TransferProgram::place_fetches`]) at the loss from
-    /// the key bytes the forward sweep recorded. Every transfer is
+    /// The swap engine: interpret a copy of the executor's
+    /// [`TransferProgram`], placing its fetches
+    /// ([`TransferProgram::place_fetches`]) at the loss from the key bytes
+    /// the forward sweep recorded. Every transfer is
     /// charged at its issue point — near memory reserved,
     /// the far tier charged — and its priced copy submitted to the
     /// backend: the transfer's I/O lane ([`Transfer::lane`]), or inline
@@ -606,7 +475,7 @@ impl OocExecutor {
             // Poison check + per-step re-arm, like `ExchangeBuffers`.
             pool.begin_step();
         }
-        let mut program = TransferProgram::new(self);
+        let mut program = self.program.clone();
         let slots = Arc::new(SlotStore::new());
         let mut near = NearMemory::new(self.budget);
         let mut far = TierStack::new(&self.tiers);
@@ -764,6 +633,7 @@ impl OocExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{hand_scheduled, two_tier_boundary_evicting_executor};
     use karma_tensor::{small_cnn, SyntheticDataset};
 
     fn setup() -> (Sequential, Tensor, Vec<usize>) {
@@ -963,9 +833,14 @@ mod tests {
             usize::MAX / 2,
             net.len(),
         );
-        let sched = jit.clone().with_schedule(
+        let sched = hand_scheduled(
+            vec![0, 2, 4, 6],
+            jit.policies().to_vec(),
+            net.len(),
             vec![vec![], vec![0, 1], vec![], vec![]], // both evictions after F(1)
             vec![vec![], vec![], vec![], vec![1, 0]], // both fetches before B(3)
+            vec![vec![]; 4],
+            vec![vec![]; 4],
         );
         let (_, _, s_jit) = jit.grad_step(&net, &x, &y, |_, _| {});
         let (_, _, s_sched) = sched.grad_step(&net, &x, &y, |_, _| {});
@@ -981,22 +856,6 @@ mod tests {
             net.snapshot(),
             reference(2),
             "schedule must not change math"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "eviction count")]
-    fn schedule_must_cover_every_swap_block() {
-        let (net, _, _) = setup();
-        OocExecutor::new(
-            vec![0, 3, 6],
-            vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_schedule(
-            vec![vec![0], vec![], vec![]], // block 1 never evicted
-            vec![vec![0], vec![1], vec![]],
         );
     }
 
@@ -1036,18 +895,19 @@ mod tests {
         let data = SyntheticDataset::classification(32, 1, 16, 4, 21);
         let (x, y) = data.batch(0, 16);
         let mut net = conv_stack(6, 4, 11);
-        let base = OocExecutor::new(
-            vec![0, 3, 6],
-            vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_schedule(
-            vec![vec![0], vec![1], vec![]],
-            vec![vec![], vec![0], vec![1]],
-        );
-        let evicting = base.clone().with_boundary_schedule(
-            vec![true, true, false],
+        let scheduled = |b_out: Vec<Vec<usize>>, b_in: Vec<Vec<usize>>| {
+            hand_scheduled(
+                vec![0, 3, 6],
+                vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
+                net.len(),
+                vec![vec![0], vec![1], vec![]],
+                vec![vec![], vec![0], vec![1]],
+                b_out,
+                b_in,
+            )
+        };
+        let base = scheduled(vec![vec![]; 3], vec![vec![]; 3]);
+        let evicting = scheduled(
             vec![vec![], vec![0], vec![1]],
             vec![vec![], vec![0], vec![1]],
         );
@@ -1093,23 +953,19 @@ mod tests {
         // boundary merges into the same swap-out, no separate event. (The
         // return may split: fetch placement can issue the interiors
         // earlier than the boundary.)
+        use karma_core::plan::{OpKind, Plan};
+        use OpKind::{Backward, Forward, SwapIn, SwapOut};
         let (mut net, x, y) = setup();
-        let exec = OocExecutor::new(
-            vec![0, 3, 6],
-            vec![
-                BlockPolicy::Swap,
-                BlockPolicy::Resident,
-                BlockPolicy::Resident,
-            ],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_schedule(vec![vec![], vec![0], vec![]], vec![vec![], vec![0], vec![]])
-        .with_boundary_schedule(
-            vec![true, false, false],
-            vec![vec![], vec![0], vec![]],
-            vec![vec![], vec![0], vec![]],
-        );
+        let mut p = Plan::new(3);
+        let f0 = p.push(Forward, 0, vec![]);
+        let f1 = p.push(Forward, 1, vec![f0]);
+        let so = p.push(SwapOut, 0, vec![f0, f1]);
+        let f2 = p.push(Forward, 2, vec![f1]);
+        let b2 = p.push(Backward, 2, vec![f2]);
+        let si = p.push(SwapIn, 0, vec![so, b2]);
+        let b1 = p.push(Backward, 1, vec![b2]);
+        p.push(Backward, 0, vec![b1, si]);
+        let exec = crate::bridge::lower_plan(&p, &[0, 3, 6], usize::MAX / 2, net.len()).unwrap();
         let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
         assert_eq!(stats.boundary_out_ops, 1);
         assert_eq!(stats.boundary_in_ops, 1);
@@ -1127,19 +983,16 @@ mod tests {
         // Boundary scheduled back a step earlier than the interior: a
         // separate BoundaryIn event, still bitwise-identical training.
         let (mut net, x, y) = setup();
-        let exec = OocExecutor::new(
+        let exec = hand_scheduled(
             vec![0, 3, 6],
             vec![
                 BlockPolicy::Swap,
                 BlockPolicy::Resident,
                 BlockPolicy::Resident,
             ],
-            usize::MAX / 2,
             net.len(),
-        )
-        .with_schedule(vec![vec![0], vec![], vec![]], vec![vec![], vec![0], vec![]])
-        .with_boundary_schedule(
-            vec![true, false, false],
+            vec![vec![0], vec![], vec![]],
+            vec![vec![], vec![0], vec![]],
             vec![vec![], vec![0], vec![]],
             vec![vec![], vec![], vec![0]],
         );
@@ -1152,90 +1005,6 @@ mod tests {
             exec.train_step(&mut net, &x, &y, 0.05);
         }
         assert_eq!(net.snapshot(), reference(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "only swap blocks")]
-    fn resident_blocks_keep_their_boundary() {
-        let (net, _, _) = setup();
-        OocExecutor::new(
-            vec![0, 3, 6],
-            vec![
-                BlockPolicy::Swap,
-                BlockPolicy::Resident,
-                BlockPolicy::Resident,
-            ],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_boundary_schedule(
-            vec![false, true, false],
-            vec![vec![], vec![], vec![1]],
-            vec![vec![], vec![], vec![1]],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "logits")]
-    fn last_block_boundary_cannot_leave() {
-        let (net, _, _) = setup();
-        OocExecutor::new(
-            vec![0, 3, 6],
-            vec![
-                BlockPolicy::Resident,
-                BlockPolicy::Resident,
-                BlockPolicy::Swap,
-            ],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_boundary_schedule(
-            vec![false, false, true],
-            vec![vec![], vec![], vec![2]],
-            vec![vec![], vec![], vec![2]],
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "consumed it")]
-    fn boundary_fetch_after_consumer_backward_is_rejected() {
-        let (net, _, _) = setup();
-        OocExecutor::new(
-            vec![0, 3, 6],
-            vec![
-                BlockPolicy::Swap,
-                BlockPolicy::Resident,
-                BlockPolicy::Resident,
-            ],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_boundary_schedule(
-            vec![true, false, false],
-            vec![vec![], vec![0], vec![]],
-            vec![vec![0], vec![], vec![]], // step 0 < deadline 1
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "read it")]
-    fn boundary_eviction_before_consumer_forward_is_rejected() {
-        let (net, _, _) = setup();
-        OocExecutor::new(
-            vec![0, 3, 6],
-            vec![
-                BlockPolicy::Swap,
-                BlockPolicy::Resident,
-                BlockPolicy::Resident,
-            ],
-            usize::MAX / 2,
-            net.len(),
-        )
-        .with_boundary_schedule(
-            vec![true, false, false],
-            vec![vec![0], vec![], vec![]], // step 0: F(1) has not read it yet
-            vec![vec![], vec![0], vec![]],
-        );
     }
 
     #[test]
@@ -1327,25 +1096,7 @@ mod tests {
         let (x, y) = data.batch(0, 16);
         let mut net_s = conv_stack(6, 4, 11);
         let mut net_a = conv_stack(6, 4, 11);
-        let sync = OocExecutor::new(
-            vec![0, 3, 6],
-            vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
-            usize::MAX / 2,
-            net_s.len(),
-        )
-        .with_schedule(
-            vec![vec![0], vec![1], vec![]],
-            vec![vec![], vec![0], vec![1]],
-        )
-        .with_boundary_schedule(
-            vec![true, true, false],
-            vec![vec![], vec![0], vec![1]],
-            vec![vec![], vec![0], vec![1]],
-        )
-        .with_tiers(
-            vec![TierSpec::host(usize::MAX), TierSpec::nvme(usize::MAX)],
-            vec![0, 1, 0],
-        );
+        let sync = two_tier_boundary_evicting_executor(net_s.len());
         let overlap = sync.clone().with_io_lanes(2);
         assert_eq!(overlap.io_lanes(), 2);
         let (l_s, _, s_s, tr_s) = sync.grad_step_traced(&net_s, &x, &y, |_, _| {});

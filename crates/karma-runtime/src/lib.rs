@@ -8,10 +8,10 @@
 //!   tier stack; every activation lives in exactly one of them and all
 //!   movement is accounted (bytes, transfer counts, peak usage);
 //! * [`exec::OocExecutor`] — runs a real `karma-tensor` training step under
-//!   a hard near-memory budget, with per-block policies (resident / swap /
-//!   recompute) mirroring the planner's schedules, lowered once into a
-//!   step-ordered transfer program that one swap engine interprets
-//!   (inline, or on I/O lanes). Because layers are pure functions over
+//!   a hard near-memory budget, with the planner's per-block policies
+//!   (resident / swap / recompute) and schedule, lowered once into the
+//!   step-ordered transfer program it holds and one swap engine
+//!   interprets (inline, or on I/O lanes). Because layers are pure functions over
 //!   explicitly saved inputs, the executed arithmetic is
 //!   **bit-identical** to in-core training — the property the paper's
 //!   accuracy experiments check empirically;
@@ -25,8 +25,8 @@
 //! * [`bridge`] — the executable planning pipeline and the plan→runtime
 //!   lowering: [`bridge::plan_net`] profiles, searches and plans a model
 //!   for its executable net, and a validated `karma-core` `Plan` becomes
-//!   a configured [`exec::OocExecutor`] (policies, eviction order,
-//!   prefetch schedule) plus, for distributed plans, the
+//!   an [`exec::OocExecutor`] holding its schedule (policies, eviction
+//!   order, prefetch steps, boundary trips) plus, for distributed plans, the
 //!   [`dp::ExchangeSchedule`] its `AR`/`U` ops prescribe — with residency
 //!   and exchange replays predicting the executed trajectory, message
 //!   count, and shipped bytes exactly (the residency replay,
@@ -40,8 +40,10 @@
 //!
 //! **Workspace position:** the execution-side top layer over
 //! `karma-tensor`. The parity-critical modules ([`store`], [`exec`],
-//! [`dp`]) stay independent of the analysis stack so parity
-//! results cannot be contaminated by the models they validate; only
+//! [`dp`]) use none of the analysis stack's models, so parity results
+//! cannot be contaminated by the models they validate: [`exec`] takes
+//! only `karma-core`'s plain-data lowering output (the
+//! `RuntimeSchedule`, whose per-block policy is [`BlockPolicy`]). Only
 //! [`bridge`] links the analysis crates (`karma-core`, `karma-sim`,
 //! `karma-graph`, `karma-hw`): it runs the profile → search → plan
 //! pipeline ([`bridge::plan_net`]) and consumes the plans it yields.

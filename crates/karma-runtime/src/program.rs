@@ -1,9 +1,14 @@
-//! The transfer program: an executor's schedule lowered once into a flat,
-//! step-ordered op list.
+//! The transfer program: a lowered schedule as a flat, step-ordered op
+//! list, and the one form of the schedule an [`crate::OocExecutor`]
+//! holds.
 //!
 //! A KARMA step is one op order (paper Fig. 1/Fig. 3): forward, swap-out,
-//! swap-in, recompute, backward. [`crate::OocExecutor`] interprets this
-//! list, and the plan→runtime bridge folds the same list into its
+//! swap-in, recompute, backward. [`TransferProgram::lower`] builds that
+//! order once, when the executor is built, from a `karma_core`
+//! [`RuntimeSchedule`]: the schedule `lower_to_runtime` extracted from a
+//! plan, or the just-in-time default of [`crate::OocExecutor::new`].
+//! The executor interprets a copy of the program every step, and the
+//! plan→runtime bridge folds copies of the same program into its
 //! residency and swap-timing predictions, so the three agree by
 //! construction. Whether a boundary rides its block's transfer or moves
 //! on its own, when each fetch is due, and which tier and I/O lane each
@@ -17,7 +22,9 @@
 
 use std::ops::Range;
 
-use crate::exec::{BlockPolicy, ExecEvent, OocExecutor};
+use karma_core::bridge::RuntimeSchedule;
+
+use crate::exec::{BlockPolicy, ExecEvent};
 
 /// One far-memory transfer: a run of one block's near-memory keys moving
 /// as a single job on the block's tier ([`Transfer::tier`]) and I/O lane
@@ -30,7 +37,7 @@ pub(crate) struct Transfer {
     /// The block whose keys move.
     pub block: usize,
     /// The far tier the keys park in: the executor's routing of `block`
-    /// ([`OocExecutor::tier_of`]).
+    /// ([`crate::OocExecutor::tier_of`], set by [`TransferProgram::route`]).
     pub tier: usize,
     /// The forward (out) or backward (in) step that issues the transfer:
     /// for a fetch, the schedule's latest step until
@@ -98,26 +105,24 @@ pub(crate) enum Op {
     Backward(usize),
 }
 
-/// An executor's step as a flat op list, plus the block geometry the
-/// interpreters need to price [`Op::Forward`], [`Op::Recompute`] and
-/// [`Op::Backward`].
+/// A lowered step as a flat op list, plus the block geometry and
+/// policies the interpreters need to price [`Op::Forward`],
+/// [`Op::Recompute`] and [`Op::Backward`].
 #[derive(Debug, Clone)]
 pub(crate) struct TransferProgram {
     pub ops: Vec<Op>,
     ranges: Vec<(usize, usize)>,
-    recompute: Vec<bool>,
+    policies: Vec<BlockPolicy>,
 }
 
 impl TransferProgram {
-    /// Lower `exec`'s schedule lists and block policies.
-    pub(crate) fn new(exec: &OocExecutor) -> Self {
-        let n = exec.n_blocks();
-        let ranges: Vec<(usize, usize)> = (0..n).map(|b| exec.block_range(b)).collect();
-        let recompute: Vec<bool> = exec
-            .policies()
-            .iter()
-            .map(|p| *p == BlockPolicy::Recompute)
-            .collect();
+    /// Lower `sched` over block `ranges` (block `b`'s layers
+    /// `[start, end)`), every transfer on tier 0 until
+    /// [`TransferProgram::route`]. The schedule is taken as checked:
+    /// `lower_to_runtime` rejects what the executor cannot run with a
+    /// typed error.
+    pub(crate) fn lower(sched: &RuntimeSchedule, ranges: Vec<(usize, usize)>) -> Self {
+        let n = ranges.len();
         let transfer = |block: usize, step, interior: bool, boundary: bool, deadline| {
             let event = match (deadline, interior) {
                 (None, true) => ExecEvent::SwapOut,
@@ -131,7 +136,7 @@ impl TransferProgram {
             Transfer {
                 event,
                 block,
-                tier: exec.tier_of()[block],
+                tier: 0,
                 step,
                 keys: first..last,
                 boundary,
@@ -141,14 +146,15 @@ impl TransferProgram {
         let mut ops = Vec::new();
         for b in 0..n {
             ops.push(Op::Forward(b));
-            let out = step_transfers(&exec.evict_after()[b], &exec.boundary_out_after()[b]);
+            let out = step_transfers(&sched.evict_after[b], &sched.boundary_evict_after[b]);
             for (block, interior, boundary) in out {
                 ops.push(Op::Out(transfer(block, b, interior, boundary, None)));
             }
         }
         ops.push(Op::Loss);
         for b in (0..n).rev() {
-            let fetches = step_transfers(&exec.prefetch_before()[b], &exec.boundary_in_before()[b]);
+            let fetches =
+                step_transfers(&sched.prefetch_before[b], &sched.boundary_fetch_before[b]);
             for (block, interior, boundary) in fetches {
                 // Interiors are read by step `block`'s compute, a boundary
                 // by step `block + 1`'s (processed earlier), which then
@@ -157,7 +163,7 @@ impl TransferProgram {
                 ops.push(Op::In(transfer(block, b, interior, boundary, due)));
             }
             ops.push(Op::Await(b));
-            if recompute[b] {
+            if sched.policies[b] == BlockPolicy::Recompute {
                 ops.push(Op::Recompute(b));
             }
             ops.push(Op::Backward(b));
@@ -165,8 +171,22 @@ impl TransferProgram {
         TransferProgram {
             ops,
             ranges,
-            recompute,
+            policies: sched.policies.clone(),
         }
+    }
+
+    /// Route every transfer through its block's tier, `tier_of[block]`.
+    pub(crate) fn route(&mut self, tier_of: &[usize]) {
+        for op in &mut self.ops {
+            if let Op::Out(t) | Op::In(t) = op {
+                t.tier = tier_of[t.block];
+            }
+        }
+    }
+
+    /// One policy per block.
+    pub(crate) fn policies(&self) -> &[BlockPolicy] {
+        &self.policies
     }
 
     /// Block `b`'s layers `[start, end)`: its interior keys are
@@ -177,7 +197,7 @@ impl TransferProgram {
 
     /// Does block `b` recompute (dropping its interiors after forward)?
     pub(crate) fn recomputes(&self, b: usize) -> bool {
-        self.recompute[b]
+        self.policies[b] == BlockPolicy::Recompute
     }
 
     /// The residency fold's one step: the near-memory bytes `op` moves
@@ -333,26 +353,68 @@ fn step_transfers(interiors: &[usize], bounds: &[usize]) -> Vec<(usize, bool, bo
     alone.chain(groups).collect()
 }
 
+/// An executor over `boundaries` running `policies` under a schedule
+/// written by hand, for schedules no plan lowers to: interiors leave
+/// after forward step `j` for the blocks in `evict[j]` and return by
+/// backward step `j` for those in `fetch[j]`; boundaries likewise with
+/// `b_out` and `b_in`. Built through the constructor the lowering uses,
+/// with an unbounded budget.
+#[cfg(test)]
+pub(crate) fn hand_scheduled(
+    boundaries: Vec<usize>,
+    policies: Vec<BlockPolicy>,
+    n_layers: usize,
+    evict: Vec<Vec<usize>>,
+    fetch: Vec<Vec<usize>>,
+    b_out: Vec<Vec<usize>>,
+    b_in: Vec<Vec<usize>>,
+) -> crate::OocExecutor {
+    use karma_core::bridge::{BoundaryPolicy, TierPolicy};
+    let sched = RuntimeSchedule {
+        boundary: (0..boundaries.len())
+            .map(|b| {
+                if b_out.iter().flatten().any(|&e| e == b) {
+                    BoundaryPolicy::Evict
+                } else {
+                    BoundaryPolicy::Resident
+                }
+            })
+            .collect(),
+        tier: policies
+            .iter()
+            .map(|p| {
+                if *p == BlockPolicy::Swap {
+                    TierPolicy::Far(0)
+                } else {
+                    TierPolicy::Device
+                }
+            })
+            .collect(),
+        policies,
+        evict_after: evict,
+        prefetch_before: fetch,
+        boundary_evict_after: b_out,
+        boundary_fetch_before: b_in,
+        dist: None,
+    };
+    crate::OocExecutor::from_schedule(boundaries, &sched, usize::MAX / 2, n_layers)
+}
+
 /// The hardest hand-built schedule of the executor's unit suite, for the
 /// tests of every interpreter of its program: both swap blocks evict
 /// their boundary, each departing one step after its interiors as a
 /// transfer of its own, both returns ride their block's swap-in, and the
-/// blocks route to two tiers. Over an 8-layer net.
+/// blocks route to two tiers. Block 1 (`n - 2`) evicting its boundary is
+/// what the lowering never emits.
 #[cfg(test)]
-pub(crate) fn two_tier_boundary_evicting_executor() -> OocExecutor {
+pub(crate) fn two_tier_boundary_evicting_executor(n_layers: usize) -> crate::OocExecutor {
     use crate::store::TierSpec;
-    OocExecutor::new(
+    hand_scheduled(
         vec![0, 3, 6],
         vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
-        usize::MAX / 2,
-        8,
-    )
-    .with_schedule(
+        n_layers,
         vec![vec![0], vec![1], vec![]],
         vec![vec![], vec![0], vec![1]],
-    )
-    .with_boundary_schedule(
-        vec![true, true, false],
         vec![vec![], vec![0], vec![1]],
         vec![vec![], vec![0], vec![1]],
     )
@@ -365,28 +427,47 @@ pub(crate) fn two_tier_boundary_evicting_executor() -> OocExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OocExecutor;
 
-    /// `swap-conv`'s lowered executor: a 14-layer conv stack cut at
-    /// `[0, 2, 5, 6, 9]`, the four lower blocks swapping with every boundary
-    /// below the turnaround riding its block's transfers, and fetches at the
-    /// capacity builder's steps. Priced by [`swap_conv_key_bytes`].
+    /// `swap-conv`'s plan: five blocks, the four lower ones swapping, fetched
+    /// at the capacity builder's steps (blocks 3 and 2 before B(3), block 1
+    /// before B(2), block 0 before its own backward). It lowers over a
+    /// 14-layer conv stack cut at `[0, 2, 5, 6, 9]` with every boundary below
+    /// the turnaround evicted: blocks 1 and 2 return theirs riding the
+    /// swap-in, block 0 its own apart at step 1.
+    fn swap_conv_plan() -> karma_core::plan::Plan {
+        use karma_core::plan::{OpKind, Plan};
+        use OpKind::{Backward, Forward, SwapIn, SwapOut};
+        let mut p = Plan::new(5);
+        for (kind, block) in [
+            (Forward, 0),
+            (SwapOut, 0),
+            (Forward, 1),
+            (SwapOut, 1),
+            (Forward, 2),
+            (SwapOut, 2),
+            (Forward, 3),
+            (SwapOut, 3),
+            (Forward, 4),
+            (Backward, 4),
+            (SwapIn, 3),
+            (SwapIn, 2),
+            (Backward, 3),
+            (SwapIn, 1),
+            (Backward, 2),
+            (Backward, 1),
+            (SwapIn, 0),
+            (Backward, 0),
+        ] {
+            p.push(kind, block, vec![]);
+        }
+        p
+    }
+
+    /// `swap-conv`'s lowered executor: [`swap_conv_plan`] over its 14-layer
+    /// conv stack. Priced by [`swap_conv_key_bytes`].
     fn swap_conv_executor() -> OocExecutor {
-        use BlockPolicy::{Resident, Swap};
-        OocExecutor::new(
-            vec![0, 2, 5, 6, 9],
-            vec![Swap, Swap, Swap, Swap, Resident],
-            usize::MAX / 2,
-            14,
-        )
-        .with_schedule(
-            vec![vec![0], vec![1], vec![2], vec![3], vec![]],
-            vec![vec![0], vec![], vec![1], vec![3, 2], vec![]],
-        )
-        .with_boundary_schedule(
-            vec![true, true, true, false, false],
-            vec![vec![], vec![0], vec![1], vec![2], vec![]],
-            vec![vec![], vec![0], vec![1], vec![2], vec![]],
-        )
+        crate::bridge::lower_plan(&swap_conv_plan(), &[0, 2, 5, 6, 9], usize::MAX / 2, 14).unwrap()
     }
 
     /// `swap-conv`'s key sizes: a 16384 B input batch, 65536 B activations
@@ -419,7 +500,7 @@ mod tests {
     #[test]
     fn swap_conv_fetches_issue_at_the_earliest_step_the_peak_allows() {
         let key_bytes = swap_conv_key_bytes();
-        let unplaced = TransferProgram::new(&swap_conv_executor());
+        let unplaced = swap_conv_executor().program().clone();
         let mut placed = unplaced.clone();
         placed.place_fetches(&key_bytes);
         use ExecEvent::{BoundaryIn, SwapIn};
@@ -454,10 +535,36 @@ mod tests {
     }
 
     #[test]
+    fn the_stored_program_is_never_placed_in_place() {
+        // Every step places a copy of the program: two steps in a row
+        // issue the same transfers, each as the replay predicts, and the
+        // stored program keeps its scheduled steps.
+        use crate::bridge::ResidencyReplay;
+        use karma_tensor::{conv_stack, SyntheticDataset, Tensor};
+        let net = conv_stack(6, 4, 11);
+        let (x, y) = SyntheticDataset::classification(32, 1, 16, 4, 21).batch(0, 16);
+        let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+        assert_eq!(key_bytes, swap_conv_key_bytes());
+        for lanes in [0, 2] {
+            let exec = swap_conv_executor().with_io_lanes(lanes);
+            let stored = exec.program().ops.clone();
+            let mut placed = exec.program().clone();
+            placed.place_fetches(&key_bytes);
+            assert_ne!(placed.ops, stored, "placement moves a fetch");
+            let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
+            let (_, _, _, first) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
+            let (_, _, _, second) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
+            assert_eq!(first, replay.samples, "{lanes} lanes");
+            assert_eq!(second, replay.samples, "{lanes} lanes");
+            assert_eq!(exec.program().ops, stored, "{lanes} lanes");
+        }
+    }
+
+    #[test]
     fn a_program_without_fetches_comes_back_unchanged() {
         use BlockPolicy::{Recompute, Resident};
         let exec = OocExecutor::new(vec![0, 2, 5], vec![Recompute, Recompute, Resident], 1, 8);
-        let mut program = TransferProgram::new(&exec);
+        let mut program = exec.program().clone();
         let capacity = program.ops.capacity();
         let before = program.ops.clone();
         program.place_fetches(&[1; 9]);
@@ -473,7 +580,7 @@ mod tests {
         let mut roomy = vec![1; 15];
         roomy[14] = 1 << 20;
         for key_bytes in [swap_conv_key_bytes(), roomy] {
-            let unplaced = TransferProgram::new(&swap_conv_executor());
+            let unplaced = swap_conv_executor().program().clone();
             let mut placed = unplaced.clone();
             placed.place_fetches(&key_bytes);
             let loss = placed.ops.iter().position(|op| *op == Op::Loss).unwrap();
@@ -504,7 +611,7 @@ mod tests {
 
     #[test]
     fn boundary_evicting_two_tier_schedule_lowers_to_the_exact_op_list() {
-        let exec = two_tier_boundary_evicting_executor();
+        let exec = two_tier_boundary_evicting_executor(8);
         let t = |event, block, tier, step, keys, boundary, deadline| Transfer {
             event,
             block,
@@ -533,6 +640,6 @@ mod tests {
             Op::Await(0),
             Op::Backward(0),
         ];
-        assert_eq!(TransferProgram::new(&exec).ops, want);
+        assert_eq!(exec.program().ops, want);
     }
 }

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example plan_to_runtime`
 
+use karma::core::lower_to_runtime;
 use karma::core::opt::OptConfig;
 use karma::core::plan::OpKind;
 use karma::graph::MemoryParams;
@@ -37,11 +38,12 @@ fn main() {
     // Bridge: lower the plan onto the out-of-core executor and size the
     // near-memory budget from the plan's own residency replay.
     let (exec, replay) = cp.lower(&net, &x).expect("plan lowers to the executor");
+    let sched = lower_to_runtime(&cp.plan).expect("plan lowers to a runtime schedule");
     println!(
         "executor  : {} blocks, budget {} B, latest prefetch steps {:?}",
         exec.n_blocks(),
         replay.peak_bytes,
-        exec.prefetch_before()
+        sched.prefetch_before
     );
 
     // A real training step under the plan's schedule.
@@ -55,7 +57,7 @@ fn main() {
     // evicted its boundary activation (and fetched it back before the
     // block above's backward), so the executed peak is exactly the
     // replay's — the cost model's capacity promise, kept at runtime.
-    let evictions = exec.boundary_evict().iter().filter(|e| **e).count();
+    let evictions = sched.boundary_evict_blocks();
     assert_eq!(stats.boundary_out_ops, evictions);
     assert_eq!(stats.boundary_in_ops, evictions);
     assert_eq!(stats.peak_near_bytes, replay.peak_bytes);

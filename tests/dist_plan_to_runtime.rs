@@ -112,7 +112,7 @@ fn distributed_plan_lowers_and_executes_end_to_end() {
     let (_, _, stats0, traj0) = exec.grad_step_traced(&net, &x0, &y0, |_, _| {});
     assert_eq!(traj0, replay.samples, "per-worker residency != replay");
     assert_eq!(stats0.peak_near_bytes, replay.peak_bytes);
-    let evicting = exec.boundary_evict().iter().filter(|e| **e).count();
+    let evicting = lower_to_runtime(&plan).unwrap().boundary_evict_blocks();
     assert_eq!(stats0.boundary_out_ops, evicting);
     if stats0.swap_out_ops > 0 {
         assert!(evicting > 0, "swaps without boundary eviction");

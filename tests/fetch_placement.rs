@@ -8,7 +8,7 @@
 //!
 //! * **no higher peak** — the placed replay's peak equals the peak of
 //!   the schedule as written (every fetch at the step it names), folded
-//!   here from the executor's public schedule lists;
+//!   here from `lower_to_runtime`'s schedule lists;
 //! * **replay exactness** — the executed trace equals
 //!   `ResidencyReplay::of` sample for sample, and the executed peak its
 //!   peak, under a budget of exactly that peak;
@@ -20,6 +20,7 @@
 use karma::core::capacity::{build_training_plan, CapacityPlanOptions, PrefetchPolicy};
 use karma::core::cost::LayerCostTable;
 use karma::core::lower::{simulate_plan, LowerOptions};
+use karma::core::{lower_to_runtime, RuntimeSchedule};
 use karma::graph::{BlockPartition, MemoryParams};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
@@ -37,11 +38,11 @@ fn setup() -> (Sequential, Tensor, Vec<usize>) {
     (conv_stack(6, 4, 11), x, y)
 }
 
-/// The near-memory peak of `exec`'s schedule as written: every fetch at
-/// the step the schedule names, a boundary riding its block's transfer
+/// The near-memory peak of `exec` run on `sched` as written: every fetch
+/// at the step the schedule names, a boundary riding its block's transfer
 /// or moving alone at its own step (the order within a step does not
 /// move a peak).
-fn scheduled_peak(exec: &OocExecutor, key_bytes: &[usize]) -> usize {
+fn scheduled_peak(exec: &OocExecutor, sched: &RuntimeSchedule, key_bytes: &[usize]) -> usize {
     let n_layers = key_bytes.len() - 1;
     let starts = exec.boundaries();
     let end = |b: usize| starts.get(b + 1).copied().unwrap_or(n_layers);
@@ -55,22 +56,22 @@ fn scheduled_peak(exec: &OocExecutor, key_bytes: &[usize]) -> usize {
         if recomputes(b) {
             cur -= interior(b);
         }
-        cur -= exec.evict_after()[b]
+        cur -= sched.evict_after[b]
             .iter()
             .map(|&e| interior(e))
             .sum::<usize>();
-        cur -= exec.boundary_out_after()[b]
+        cur -= sched.boundary_evict_after[b]
             .iter()
             .map(|&e| boundary(e))
             .sum::<usize>();
     }
     cur -= key_bytes[n_layers];
     for b in (0..exec.n_blocks()).rev() {
-        cur += exec.prefetch_before()[b]
+        cur += sched.prefetch_before[b]
             .iter()
             .map(|&p| interior(p))
             .sum::<usize>();
-        cur += exec.boundary_in_before()[b]
+        cur += sched.boundary_fetch_before[b]
             .iter()
             .map(|&p| boundary(p))
             .sum::<usize>();
@@ -149,7 +150,8 @@ proptest! {
         let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
 
         // (a) Placement never raises the peak.
-        prop_assert_eq!(replay.peak_bytes, scheduled_peak(&exec, &key_bytes));
+        let sched = lower_to_runtime(&cp.plan).unwrap();
+        prop_assert_eq!(replay.peak_bytes, scheduled_peak(&exec, &sched, &key_bytes));
 
         // (b) Executed == replayed, at exactly the replayed budget.
         let (loss, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
@@ -225,9 +227,10 @@ fn the_timing_model_orders_fetches_as_the_engine_issues_them() {
         let (modeled, executed) = fetch_orders(&timing, &trace);
         assert_eq!(modeled, executed, "lanes {lanes}");
         // Some fetch issues ahead of the step the schedule names.
+        let sched = lower_to_runtime(&planned.plan).unwrap();
         let scheduled = |b: usize| {
             (0..exec.n_blocks())
-                .find(|&j| exec.prefetch_before()[j].contains(&b))
+                .find(|&j| sched.prefetch_before[j].contains(&b))
                 .unwrap()
         };
         assert!(
