@@ -65,8 +65,8 @@ pub enum BoundaryPolicy {
     Evict,
 }
 
-/// Where a block's swapped payload parks — the tier half of the lowered
-/// schedule. Tier indices order the far-memory stack fastest-first
+/// Where a block's swapped payload parks — the tier half of a lowering,
+/// packed by [`assign_tiers`]. Tier indices order the far-memory stack fastest-first
 /// (tier 0 = host DRAM, tier 1 = simulated NVMe, …), mirroring the
 /// ZeRO-Infinity offload hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -393,11 +393,6 @@ pub struct RuntimeSchedule {
     /// guarantees `j >= b + 1`: the boundary is back before the block
     /// above begins backward (the prefetch deadline rule).
     pub boundary_fetch_before: Vec<Vec<usize>>,
-    /// Per-block tier assignment for the swap traffic: lowering defaults
-    /// every swap block to the fastest far tier (`Far(0)`) and everything
-    /// else to [`TierPolicy::Device`]; [`assign_tiers`] repacks the
-    /// assignment against real per-tier capacities.
-    pub tier: Vec<TierPolicy>,
     /// The phased gradient exchange, when the plan is distributed
     /// (`None` for single-GPU plans with no `AR` / `U` ops).
     pub dist: Option<DistSchedule>,
@@ -737,17 +732,6 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
         None
     };
 
-    // Default tier assignment: every swap block parks in the fastest far
-    // tier; resident and recompute blocks never leave the device. A real
-    // tier stack with finite capacities repacks this via `assign_tiers`.
-    let tier = policies
-        .iter()
-        .map(|p| match p {
-            LoweredPolicy::Swap => TierPolicy::Far(0),
-            _ => TierPolicy::Device,
-        })
-        .collect();
-
     Ok(RuntimeSchedule {
         policies,
         evict_after,
@@ -755,7 +739,6 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
         boundary,
         boundary_evict_after,
         boundary_fetch_before,
-        tier,
         dist,
     })
 }
@@ -1320,17 +1303,20 @@ mod tests {
 
     #[test]
     fn lowering_defaults_swap_blocks_to_the_fastest_tier() {
+        // On the default stack, one unbounded far tier, every swap block
+        // parks in tier 0 and nothing else leaves the device.
         let c = costs(6, 100, 2.0, 4.0);
         let cp = build_training_plan(&c, &CapacityPlanOptions::karma(6));
         let s = lower_to_runtime(&cp.plan).unwrap();
         assert!(s.swap_blocks() > 0);
-        for b in 0..6 {
+        let tiers = assign_tiers(&s, &[usize::MAX], &[90; 6], &[10; 6]).unwrap();
+        for (b, tier) in tiers.iter().enumerate() {
             let expect = if s.policies[b] == LoweredPolicy::Swap {
                 TierPolicy::Far(0)
             } else {
                 TierPolicy::Device
             };
-            assert_eq!(s.tier[b], expect, "block {b}");
+            assert_eq!(*tier, expect, "block {b}");
         }
     }
 
@@ -1354,12 +1340,16 @@ mod tests {
         let s = eager_swap_schedule();
         let interior = vec![90usize; 5];
         let boundary = vec![10usize; 5];
-        // Unbounded fast tier: everything stays in tier 0.
+        // Unbounded fast tier: every swap block stays in tier 0, with or
+        // without a slower tier behind it.
         let all_fast = assign_tiers(&s, &[usize::MAX], &interior, &boundary).unwrap();
         assert!(all_fast
             .iter()
             .all(|t| matches!(t, TierPolicy::Far(0) | TierPolicy::Device)));
-        assert_eq!(all_fast, s.tier, "matches the lowering default");
+        assert_eq!(
+            assign_tiers(&s, &[usize::MAX, usize::MAX], &interior, &boundary).unwrap(),
+            all_fast
+        );
         // Fast tier holds ~2 parked blocks; the rest spill to the slow tier.
         let packed = assign_tiers(&s, &[220, usize::MAX], &interior, &boundary).unwrap();
         let fast = packed.iter().filter(|t| **t == TierPolicy::Far(0)).count();

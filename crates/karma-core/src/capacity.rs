@@ -7,10 +7,8 @@
 //! * **forward**: swap out a block's activations eagerly after its forward
 //!   pass, but *stop swapping* once the remaining suffix of blocks fits in
 //!   memory — those stay resident through the fwd→bwd turnaround. The last
-//!   block is always in that suffix: its round trip would depart after
-//!   its forward and return before its backward, spanning only the loss,
-//!   so it moves bytes without lowering the peak (reached at its forward's
-//!   end);
+//!   block is always in that suffix, and KARMA never recomputes it either
+//!   ([`pinned_at_turnaround`]);
 //! * **backward**: resident blocks process immediately; swapped blocks are
 //!   *prefetched* as early as capacity allows (each swap-in is tied to the
 //!   backward op whose completion frees enough memory); blocks flipped to
@@ -99,18 +97,33 @@ pub struct CapacityPlan {
     pub recompute: Vec<bool>,
 }
 
+/// The fwd→bwd turnaround rule: is block `b` the last of `n` blocks, the
+/// one KARMA's plans neither swap nor recompute?
+///
+/// Taking the last block off the device between its forward and its
+/// backward brackets only the loss. A swap would send its interiors out
+/// after its forward and fetch them back before its backward; a
+/// recompute would drop them after its forward and re-forward them right
+/// after the loss. The peak is reached at the end of that forward,
+/// before anything is dropped, so either round trip costs time and frees
+/// no byte of it. [`capacity_resident_from`] therefore always keeps the
+/// last block, and every producer of recompute flags in [`crate::opt`]
+/// leaves its flag clear. Only forced options still move it: a forced
+/// [`CapacityPlanOptions::resident_from`] swaps it, and a caller's own
+/// `recompute[n - 1]` recomputes it.
+pub fn pinned_at_turnaround(b: usize, n: usize) -> bool {
+    b + 1 == n
+}
+
 /// Derive the first resident block for the capacity-based strategy: keep
 /// the longest suffix of blocks whose activations (a recomputed block's
 /// boundary checkpoint only) fit in the budget (capacity minus the largest
 /// transient and one prefetch buffer).
 ///
-/// The last block is resident whatever the budget says: swapping it would
-/// send its activations out after its forward and fetch them back before
-/// its backward, a round trip that brackets only the loss. The peak is
-/// reached at the end of that forward, before the departure, so the trip
-/// costs link time and frees no byte of it. The result is therefore at
-/// most `n_blocks - 1`; only a forced
-/// [`CapacityPlanOptions::resident_from`] swaps the last block.
+/// The last block is resident whatever the budget says: this is the swap
+/// half of the turnaround rule ([`pinned_at_turnaround`]), whose recompute
+/// half keeps the last block's recompute flag clear. The result is
+/// therefore at most `n_blocks - 1`.
 pub fn capacity_resident_from(costs: &BlockCosts, recompute: &[bool]) -> usize {
     let n = costs.n_blocks();
     let reserve =
@@ -125,7 +138,7 @@ pub fn capacity_resident_from(costs: &BlockCosts, recompute: &[bool]) -> usize {
         } else {
             costs.act_bytes[b]
         } as i64;
-        if acc > budget && b + 1 < n {
+        if acc > budget && !pinned_at_turnaround(b, n) {
             break;
         }
         resident_from = b;

@@ -22,7 +22,7 @@ use karma_solver::{Aco, AcoConfig, Evaluation, Problem};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::capacity::{build_training_plan, CapacityPlanOptions};
+use crate::capacity::{build_training_plan, pinned_at_turnaround, CapacityPlanOptions};
 use crate::cost::{BlockCosts, LayerCostTable};
 use crate::lower::{simulate_plan, LowerOptions};
 
@@ -214,22 +214,30 @@ pub fn optimize_blocking(table: &LayerCostTable, cfg: &OptConfig) -> Vec<usize> 
     problem.boundaries(&best.x)
 }
 
+/// Whether block `b` may be flipped to recompute at all: constraint 10.1
+/// (recomputing it is cheaper than the swap it replaces) and the
+/// turnaround rule ([`pinned_at_turnaround`]: the last block never
+/// recomputes).
+fn may_recompute(costs: &BlockCosts, b: usize) -> bool {
+    !pinned_at_turnaround(b, costs.n_blocks()) && costs.forward[b] < costs.swap_time(b)
+}
+
 /// Solve optimization problem 2: greedy recompute refinement.
 ///
 /// Scans swapped blocks (front of the model, below the resident suffix);
 /// a block is a candidate when recomputing it costs less than swapping it
-/// in (constraint 10.1); each flip is kept only if the simulated makespan
-/// improves. Sweeps until a fixed point (bounded by 4 sweeps).
+/// in (constraint 10.1) and it is not the last block (the turnaround
+/// rule, [`pinned_at_turnaround`]); each flip is kept only if the
+/// simulated makespan improves. Sweeps until a fixed point (bounded by 4
+/// sweeps).
 pub fn refine_recompute(costs: &BlockCosts) -> Vec<bool> {
     let n = costs.n_blocks();
+    // Recompute wherever the rules allow: the constraint-10.1 heuristic.
+    let all_rc: Vec<bool> = (0..n).map(|b| may_recompute(costs, b)).collect();
     if n > 160 {
         // Per-flip simulation is quadratic-ish; for very fine partitions
-        // fall back to the constraint-10.1 heuristic directly (recompute
-        // wherever it is cheaper than the swap it replaces), validated by
-        // one simulation against the no-recompute plan.
-        let rc: Vec<bool> = (0..n)
-            .map(|b| costs.forward[b] < costs.swap_time(b))
-            .collect();
+        // fall back to the constraint-10.1 heuristic directly, validated
+        // by one simulation against the no-recompute plan.
         let quick = |rc: Vec<bool>| {
             let cp = build_training_plan(
                 costs,
@@ -238,7 +246,7 @@ pub fn refine_recompute(costs: &BlockCosts) -> Vec<bool> {
             let (_t, m) = simulate_plan(&cp.plan, costs, &LowerOptions::default());
             (rc, m)
         };
-        let (rc, m_rc) = quick(rc);
+        let (rc, m_rc) = quick(all_rc);
         let (none, m_none) = quick(vec![false; n]);
         let (knap, m_knap) = quick(knapsack_recompute(costs));
         let mut best = (none, m_none);
@@ -282,11 +290,11 @@ pub fn refine_recompute(costs: &BlockCosts) -> Vec<bool> {
             let mut improved = false;
             let mut cursor = 0usize;
             while cursor < n {
-                // Constraint 10.1: a flip *to* recompute is a candidate
-                // only when recomputing is cheaper than the swap it
-                // replaces; flips back to swapping are always candidates.
+                // A flip *to* recompute is a candidate only where
+                // `may_recompute` allows it; flips back to swapping are
+                // always candidates.
                 let chunk: Vec<usize> = (cursor..n)
-                    .filter(|&b| rc[b] || costs.forward[b] < costs.swap_time(b))
+                    .filter(|&b| rc[b] || may_recompute(costs, b))
                     .take(chunk_len)
                     .collect();
                 let Some(&chunk_last) = chunk.last() else {
@@ -322,9 +330,6 @@ pub fn refine_recompute(costs: &BlockCosts) -> Vec<bool> {
     let (from_swap, s1) = sweep(vec![false; n]);
     // Direction 2: start from pure recompute (checkpointing-like) and put
     // blocks back on the copy lane where overlap makes swapping free.
-    let all_rc: Vec<bool> = (0..n)
-        .map(|b| costs.forward[b] < costs.swap_time(b))
-        .collect();
     let (from_rc, s2) = sweep(all_rc);
     // Direction 3: start from the value-density knapsack (keep the
     // activations that are most expensive to recompute per byte) — the
@@ -341,12 +346,15 @@ pub fn refine_recompute(costs: &BlockCosts) -> Vec<bool> {
 
 /// Keep/recompute selection by recompute-cost density under the capacity
 /// budget: every block stores its boundary checkpoint; keeping a block
-/// additionally stores its interior.
+/// additionally stores its interior. The last block is kept whatever the
+/// budget says (the turnaround rule, [`pinned_at_turnaround`]), so its
+/// interior is charged before any other block is chosen.
 pub fn knapsack_recompute(costs: &BlockCosts) -> Vec<bool> {
     let n = costs.n_blocks();
     let budget = costs.act_capacity
         - costs.max_transient() as i64
         - costs.act_bytes.iter().copied().max().unwrap_or(0) as i64;
+    let extra = |b: usize| costs.act_bytes[b].saturating_sub(costs.boundary_bytes[b]) as i64;
     let mut used: i64 = costs.boundary_bytes.iter().map(|&b| b as i64).sum();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
@@ -354,12 +362,13 @@ pub fn knapsack_recompute(costs: &BlockCosts) -> Vec<bool> {
         let db = costs.forward[b] / (costs.act_bytes[b].max(1) as f64);
         db.partial_cmp(&da).unwrap()
     });
+    // The pinned block goes first (the sort is stable).
+    order.sort_by_key(|&b| !pinned_at_turnaround(b, n));
     let mut recompute = vec![true; n];
     for b in order {
-        let extra = costs.act_bytes[b].saturating_sub(costs.boundary_bytes[b]) as i64;
-        if used + extra <= budget {
+        if pinned_at_turnaround(b, n) || used + extra(b) <= budget {
             recompute[b] = false;
-            used += extra;
+            used += extra(b);
         }
     }
     recompute

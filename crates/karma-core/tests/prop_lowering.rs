@@ -2,7 +2,7 @@
 //! `Plan::validate` either lowers to a runnable executor schedule or
 //! returns the typed rejection error — never panics.
 
-use karma_core::bridge::{lower_to_runtime, LoweredPolicy};
+use karma_core::bridge::{lower_to_runtime, BoundaryPolicy, LoweredPolicy, RuntimeSchedule};
 use karma_core::capacity::{build_training_plan, CapacityPlanOptions, PrefetchPolicy};
 use karma_core::cost::BlockCosts;
 use karma_core::plan::{OpKind, Plan};
@@ -52,6 +52,79 @@ fn toy_costs(n: usize, act: u64, swap_s: f64, capacity_blocks: f64) -> BlockCost
     }
 }
 
+/// A successful lowering is internally consistent: counts match the
+/// plan, and the boundary contract holds. Only swap blocks below the last
+/// two evict their boundary, each departs and returns once, never before
+/// the consumer's forward read it and never after the consumer's backward
+/// needs it back. A returning boundary either rides its block's swap-in
+/// or, when that swap-in waits for the block's own backward step, is
+/// split off to return one step earlier, at the consumer's step.
+fn check_lowered(plan: &Plan, s: &RuntimeSchedule) -> Result<(), TestCaseError> {
+    let n_blocks = plan.n_blocks;
+    prop_assert_eq!(s.n_blocks(), n_blocks);
+    prop_assert_eq!(s.swap_blocks(), plan.count(OpKind::SwapOut));
+    prop_assert_eq!(s.recompute_blocks(), plan.count(OpKind::Recompute));
+    prop_assert_eq!(s.eviction_order().len(), s.swap_blocks());
+    let evicting: Vec<usize> = (0..n_blocks)
+        .filter(|&b| s.boundary[b] == BoundaryPolicy::Evict)
+        .collect();
+    for &b in &evicting {
+        prop_assert_eq!(s.policies[b], LoweredPolicy::Swap, "block {}", b);
+        prop_assert!(
+            b + 2 < n_blocks,
+            "the logits or the last block's input left"
+        );
+    }
+    prop_assert_eq!(s.boundary_evict_blocks(), evicting.len());
+    let mut out_seen = vec![0usize; n_blocks];
+    let mut in_seen = vec![0usize; n_blocks];
+    for (j, list) in s.boundary_evict_after.iter().enumerate() {
+        for &e in list {
+            prop_assert!(j > e, "boundary of {} out before F({})", e, e + 1);
+            out_seen[e] += 1;
+        }
+    }
+    for (j, list) in s.boundary_fetch_before.iter().enumerate() {
+        for &p in list {
+            prop_assert!(j > p, "boundary of {} back after B({})", p, p + 1);
+            let rides = s.prefetch_before[j].contains(&p);
+            let split = j == p + 1 && s.prefetch_before[p].contains(&p);
+            prop_assert!(
+                rides || split,
+                "boundary of {} neither rides its swap-in nor splits off one step before it",
+                p
+            );
+            in_seen[p] += 1;
+        }
+    }
+    for b in 0..n_blocks {
+        let want = usize::from(evicting.contains(&b));
+        prop_assert_eq!(out_seen[b], want, "block {} departures", b);
+        prop_assert_eq!(in_seen[b], want, "block {} returns", b);
+    }
+    Ok(())
+}
+
+/// The split branch of [`check_lowered`], deterministically: block 0's
+/// swap-in waits for its own backward step, so its boundary returns on
+/// its own transfer at the consumer's step 1.
+#[test]
+fn own_step_fetch_lowers_to_a_split_return() {
+    let mut p = Plan::new(3);
+    let f0 = p.push(OpKind::Forward, 0, vec![]);
+    let so = p.push(OpKind::SwapOut, 0, vec![f0]);
+    let f1 = p.push(OpKind::Forward, 1, vec![f0]);
+    let f2 = p.push(OpKind::Forward, 2, vec![f1]);
+    let b2 = p.push(OpKind::Backward, 2, vec![f2]);
+    let b1 = p.push(OpKind::Backward, 1, vec![b2]);
+    let si = p.push(OpKind::SwapIn, 0, vec![so, b1]);
+    p.push(OpKind::Backward, 0, vec![b1, si]);
+    let s = lower_to_runtime(&p).unwrap();
+    assert_eq!(s.boundary_fetch_before[1], vec![0]);
+    assert!(!s.prefetch_before[1].contains(&0), "split, not riding");
+    check_lowered(&p, &s).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
@@ -81,47 +154,7 @@ proptest! {
                 Err(karma_core::bridge::RuntimeLowerError::Invalid(_))
             ));
         } else if let Ok(s) = &lowered {
-            // A successful lowering is internally consistent.
-            prop_assert_eq!(s.n_blocks(), n_blocks);
-            prop_assert_eq!(s.swap_blocks(), plan.count(OpKind::SwapOut));
-            prop_assert_eq!(s.recompute_blocks(), plan.count(OpKind::Recompute));
-            prop_assert_eq!(s.eviction_order().len(), s.swap_blocks());
-            // Boundary contract: only swap blocks below the last two
-            // evict, each scheduled once per phase, never before the
-            // consumer's forward read the boundary and never after the
-            // consumer's backward needs it back.
-            let evicting: Vec<usize> = (0..n_blocks)
-                .filter(|&b| s.boundary[b] == karma_core::bridge::BoundaryPolicy::Evict)
-                .collect();
-            for &b in &evicting {
-                prop_assert_eq!(s.policies[b], LoweredPolicy::Swap, "block {}", b);
-                prop_assert!(b + 2 < n_blocks, "the logits or the last block's input left");
-            }
-            prop_assert_eq!(s.boundary_evict_blocks(), evicting.len());
-            let mut out_seen = vec![0usize; n_blocks];
-            let mut in_seen = vec![0usize; n_blocks];
-            for (j, list) in s.boundary_evict_after.iter().enumerate() {
-                for &e in list {
-                    prop_assert!(j > e, "boundary of {} out before F({})", e, e + 1);
-                    out_seen[e] += 1;
-                }
-            }
-            for (j, list) in s.boundary_fetch_before.iter().enumerate() {
-                for &p in list {
-                    prop_assert!(j > p, "boundary of {} back after B({})", p, p + 1);
-                    prop_assert!(
-                        s.prefetch_before[j].contains(&p),
-                        "boundary of {} does not ride its swap-in",
-                        p
-                    );
-                    in_seen[p] += 1;
-                }
-            }
-            for b in 0..n_blocks {
-                let want = usize::from(evicting.contains(&b));
-                prop_assert_eq!(out_seen[b], want, "block {} departures", b);
-                prop_assert_eq!(in_seen[b], want, "block {} returns", b);
-            }
+            check_lowered(&plan, s)?;
         }
     }
 
@@ -155,6 +188,7 @@ proptest! {
         let sched = lower_to_runtime(&cp.plan);
         prop_assert!(sched.is_ok(), "builder plan rejected: {:?}", sched.err());
         let sched = sched.unwrap();
+        check_lowered(&cp.plan, &sched)?;
         for b in 0..n {
             let expect = if cp.recompute[b] {
                 LoweredPolicy::Recompute
@@ -167,9 +201,9 @@ proptest! {
             // The builder meets the fetch deadline for every swapped
             // block, so every swapped boundary below the last two departs.
             let expect_boundary = if expect == LoweredPolicy::Swap && b + 2 < n {
-                karma_core::bridge::BoundaryPolicy::Evict
+                BoundaryPolicy::Evict
             } else {
-                karma_core::bridge::BoundaryPolicy::Resident
+                BoundaryPolicy::Resident
             };
             prop_assert_eq!(sched.boundary[b], expect_boundary, "block {} boundary", b);
         }

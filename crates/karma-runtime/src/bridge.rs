@@ -1621,6 +1621,62 @@ mod tests {
     }
 
     #[test]
+    fn recomputing_the_last_block_frees_no_byte_of_the_peak() {
+        // The dp-mlp and recompute-resnet plans (65% of the peak
+        // footprint, five cut candidates): the planner keeps the last
+        // block resident, and forcing its recompute back in replays to
+        // the very same peak, reached at the end of F(n-1).
+        let cases = [
+            (
+                karma_zoo::micro::mlp_stack_graph(8, 256, 4),
+                karma_tensor::mlp_stack(8, 256, 4, 31),
+                64,
+                1.0e7,
+                721_920,
+            ),
+            (
+                karma_zoo::micro::resnet_style_graph(4),
+                karma_tensor::small_resnet_style(4, 7),
+                16,
+                4.0e9,
+                376_832,
+            ),
+        ];
+        for (graph, net, batch, link_bw, peak) in cases {
+            let need = graph.peak_footprint(batch, &MemoryParams::exact()) as f64;
+            let gpu = karma_hw::GpuSpec::toy((need * 0.65) as u64, 5.0e9);
+            let node = NodeSpec::toy(gpu, karma_hw::LinkSpec::toy(link_bw));
+            let mut cfg = OptConfig::fast(17);
+            cfg.max_cut_candidates = 5;
+            let planned = plan_net(&graph, batch, &node, &cfg).unwrap();
+            let n = planned.costs.n_blocks();
+            let recompute: Vec<bool> = (0..n)
+                .map(|b| planned.plan.find(OpKind::Recompute, b).is_some())
+                .collect();
+            assert!(!recompute[n - 1], "{}: R({})", graph.name, n - 1);
+            assert!(recompute.iter().any(|&r| r), "{}", graph.name);
+            let mut forced = recompute;
+            forced[n - 1] = true;
+            let forced_plan = build_training_plan(
+                &planned.costs,
+                &CapacityPlanOptions::karma_with_recompute(forced),
+            )
+            .plan;
+            assert!(forced_plan.find(OpKind::Recompute, n - 1).is_some());
+
+            let (x, _) = SyntheticDataset::classification(batch, 1, 16, 4, 5).batch(0, batch);
+            let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+            let replay = |plan: &Plan| {
+                expected_residency(plan, &planned.bounds, &key_bytes, net.len())
+                    .unwrap()
+                    .peak_bytes
+            };
+            assert_eq!(replay(&planned.plan), peak, "{}", graph.name);
+            assert_eq!(replay(&forced_plan), peak, "{}", graph.name);
+        }
+    }
+
+    #[test]
     fn lowering_onto_a_too_short_net_is_typed() {
         let graph = karma_zoo::micro::conv_stack_graph(6, 4);
         let node = toy_node(&graph, 16, 0.65);

@@ -617,9 +617,9 @@ fn group_span(
 /// `data[start + step*global .. ]` split into `nets.len()` shards of
 /// `per_worker` samples. As each exchange group's gate block finishes its
 /// backward, the worker ships the group's gradients and continues; the
-/// averaged result is installed before the SGD update, so replicas end
-/// every step bit-identical (asserted). `nets` are left at the final
-/// parameters.
+/// averaged result is installed before the worker applies the SGD update
+/// to its own replica, so replicas end every step bit-identical
+/// (asserted). `nets` are left at the final parameters.
 ///
 /// ```
 /// use karma_runtime::dp::{train, ExchangeSchedule};
@@ -680,10 +680,22 @@ pub fn train_with_buffers(
     report.dp
 }
 
-/// One worker's step outcome: loss, averaged gradients (`None` for a
-/// dying worker, whose update never happens), executor stats, and the
-/// worker's backward-completion instant.
-type WorkerStep = (f32, Option<Gradients>, OocStats, f64);
+/// One worker's step outcome: loss, executor stats, and the worker's
+/// backward-completion instant.
+type WorkerStep = (f32, OocStats, f64);
+
+/// True when the replicas `nets[i]`, `i` in `idx`, hold the same
+/// parameters. Each other replica is compared with the first once; `f32`
+/// equality makes a NaN unequal on either side, so a NaN in the first
+/// replica fails too. A lone replica is compared with itself for the
+/// same reason.
+fn replicas_identical(nets: &[Sequential], idx: &[usize]) -> bool {
+    let first = &nets[idx[0]];
+    match &idx[1..] {
+        [] => first.same_params(first),
+        others => others.iter().all(|&i| nets[i].same_params(first)),
+    }
+}
 
 /// The one data-parallel engine: the zero-copy phased exchange over the
 /// alive subset of `nets`, with mid-step failures injected from a static
@@ -695,9 +707,12 @@ type WorkerStep = (f32, Option<Gradients>, OocStats, f64);
 /// each survivor copies the average out on install. A dying worker's
 /// shipped groups fold normally, its unshipped groups are simply never
 /// expected (the static contributor table sets each slot's count up
-/// front). Replica identity is checked in place
-/// ([`Sequential::same_params`]) on entry and exit; the report's
-/// `final_snapshot` is the one full copy of the parameters a call makes.
+/// front). Each surviving worker then applies the SGD update to its own
+/// replica on its own thread; a dying worker's replica is never updated.
+/// Replica identity is checked in place ([`Sequential::same_params`])
+/// once on entry and once on exit, each other alive replica against the
+/// first; the report's `final_snapshot` is the one full copy of the
+/// parameters a call makes.
 ///
 /// [`train_with_buffers`] runs it with an empty plan;
 /// [`crate::elastic::ElasticDriver::run`] injects its
@@ -734,11 +749,14 @@ pub(crate) fn train_churn(
         nets[0].len(),
         "buffers registered for a different net"
     );
-    // The first replica is compared with itself too, so a NaN weight
-    // fails the check.
-    for n in nets.iter() {
-        assert!(n.same_params(&nets[0]), "replicas must start identical");
-    }
+    // Alive replicas, as indices into `nets` (ascending); rank = position
+    // here.
+    let mut alive: Vec<usize> = (0..nets.len()).collect();
+    let mut dead: Vec<usize> = Vec::new();
+    assert!(
+        replicas_identical(nets, &alive),
+        "replicas must start identical"
+    );
     let (per_worker, lr) = (cfg.per_worker, cfg.lr);
 
     let n_groups = xchg.n_groups();
@@ -753,10 +771,6 @@ pub(crate) fn train_churn(
         }
         is_gate[xchg.gate(g)] = true;
     }
-
-    // Alive replicas, as indices into `nets`; rank = position here.
-    let mut alive: Vec<usize> = (0..nets.len()).collect();
-    let mut dead: Vec<usize> = Vec::new();
 
     let mut losses = Vec::with_capacity(cfg.steps);
     let mut pool_sizes = Vec::with_capacity(cfg.steps);
@@ -828,10 +842,14 @@ pub(crate) fn train_churn(
 
         let mut step_results: Vec<Option<WorkerStep>> = (0..workers).map(|_| None).collect();
 
+        // Each worker owns its replica for the step and updates it itself.
+        let replicas = nets
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| alive.binary_search(i).is_ok())
+            .map(|(_, net)| net);
         std::thread::scope(|scope| {
-            let nets_view: &[Sequential] = nets;
-            for (rank, result) in step_results.iter_mut().enumerate() {
-                let net = &nets_view[alive[rank]];
+            for (rank, (result, net)) in step_results.iter_mut().zip(replicas).enumerate() {
                 let (group_of, is_gate) = (&group_of, &is_gate);
                 let (xchg, boundaries) = (&xchg, &boundaries);
                 let my_pos = &pos_of[rank];
@@ -874,19 +892,18 @@ pub(crate) fn train_churn(
                             epoch,
                         );
                     }
+                    // A dying worker is dead before the update: its loss
+                    // and stats are real (the shard was computed), its
+                    // weights never advance.
                     if my_death.is_none() {
                         // Install the published averages in place.
                         for g in 0..xchg.n_groups() {
                             let (s, e) = group_span(xchg, g, boundaries, n_layers);
                             bufs.install(g, &mut grads.per_layer[s..e]);
                         }
-                        *result = Some((loss, Some(grads), stats, bwd_done));
-                    } else {
-                        // Dead before the update: the loss and the stats
-                        // are real (the shard was computed), the weights
-                        // never advance.
-                        *result = Some((loss, None, stats, bwd_done));
+                        net.apply(&grads, lr);
                     }
+                    *result = Some((loss, stats, bwd_done));
                 });
             }
         });
@@ -906,11 +923,8 @@ pub(crate) fn train_churn(
 
         let mut step_loss = 0.0f32;
         last_bwd_done = 0.0;
-        for (rank, result) in step_results.into_iter().enumerate() {
-            let (loss, grads, stats, bwd_done) = result.expect("worker finished");
-            if let Some(grads) = grads {
-                nets[alive[rank]].apply(&grads, lr);
-            }
+        for result in step_results {
+            let (loss, stats, bwd_done) = result.expect("worker finished");
             step_loss += loss;
             last_bwd_done = last_bwd_done.max(bwd_done);
             swapped += stats.swapped_in_bytes + stats.swapped_out_bytes;
@@ -932,12 +946,10 @@ pub(crate) fn train_churn(
     }
     dead.sort_unstable();
 
-    for &i in &alive {
-        assert!(
-            nets[i].same_params(&nets[alive[0]]),
-            "replicas diverged — exchange broke determinism"
-        );
-    }
+    assert!(
+        replicas_identical(nets, &alive),
+        "replicas diverged — exchange broke determinism"
+    );
     let final_snapshot = nets[alive[0]].snapshot();
     let report = ChurnReport {
         dp: DataParallelReport {
@@ -1329,6 +1341,46 @@ mod tests {
             assert_eq!(dead, vec![1], "dead replica leaves the pool");
             // One message lost: the dead worker's unshipped group 1.
             assert_eq!(report.dp.exchange_messages, 2 * 4 + (2 * 4 - 1) + 2 * 3);
+        }
+    }
+
+    #[test]
+    fn a_dying_replica_is_never_updated_and_survivors_update_themselves() {
+        // Worker 1 of 4 dies at step 1 mid-exchange. Each survivor applies
+        // its own update, so all three land on the reference weights; the
+        // dying replica keeps, bit for bit, the weights of the step before.
+        let data = dataset();
+        let xchg = ExchangeSchedule::new(vec![vec![2, 1], vec![0]], 3);
+        let faults = FaultPlan::new(vec![WorkerFailure {
+            step: 1,
+            rank: 1,
+            groups_shipped: 1,
+        }]);
+        let cfg = churn_cfg(3);
+        let exec = ooc_exec(small_cnn(4, 77).len());
+        let bits =
+            |net: &Sequential| -> Vec<u32> { net.snapshot().iter().map(|v| v.to_bits()).collect() };
+
+        let mut reference = small_cnn(4, 77);
+        train_churn_reference(&mut reference, &exec, &xchg, &data, &cfg, 4, &faults);
+        let mut before_death = small_cnn(4, 77);
+        train_churn_reference(
+            &mut before_death,
+            &exec,
+            &xchg,
+            &data,
+            &churn_cfg(1),
+            4,
+            &FaultPlan::none(),
+        );
+        assert_ne!(bits(&before_death), bits(&reference));
+
+        let mut nets = replicas(4);
+        let (_, dead) = churn(&mut nets, &exec, &xchg, &data, &cfg, &faults);
+        assert_eq!(dead, vec![1]);
+        assert_eq!(bits(&nets[1]), bits(&before_death), "dying replica updated");
+        for i in [0, 2, 3] {
+            assert_eq!(bits(&nets[i]), bits(&reference), "survivor {i}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! The out-of-core executor: real training steps under a near-memory budget.
 
-use karma_core::bridge::{BoundaryPolicy, RuntimeSchedule, TierPolicy};
+use karma_core::bridge::{BoundaryPolicy, RuntimeSchedule};
 use karma_tensor::layers::ParamGrads;
 use karma_tensor::{Gradients, Sequential, Tensor};
 use rayon::io::{IoHandle, IoLanePool};
@@ -255,22 +255,12 @@ impl OocExecutor {
         let jit: Vec<Vec<usize>> = (0..nb)
             .map(|b| if swaps(b) { vec![b] } else { Vec::new() })
             .collect();
-        let tier = (0..nb)
-            .map(|b| {
-                if swaps(b) {
-                    TierPolicy::Far(0)
-                } else {
-                    TierPolicy::Device
-                }
-            })
-            .collect();
         let sched = RuntimeSchedule {
             evict_after: jit.clone(),
             prefetch_before: jit,
             boundary: vec![BoundaryPolicy::Resident; nb],
             boundary_evict_after: vec![Vec::new(); nb],
             boundary_fetch_before: vec![Vec::new(); nb],
-            tier,
             dist: None,
             policies: policy,
         };

@@ -369,7 +369,7 @@ pub(crate) fn hand_scheduled(
     b_out: Vec<Vec<usize>>,
     b_in: Vec<Vec<usize>>,
 ) -> crate::OocExecutor {
-    use karma_core::bridge::{BoundaryPolicy, TierPolicy};
+    use karma_core::bridge::BoundaryPolicy;
     let sched = RuntimeSchedule {
         boundary: (0..boundaries.len())
             .map(|b| {
@@ -377,16 +377,6 @@ pub(crate) fn hand_scheduled(
                     BoundaryPolicy::Evict
                 } else {
                     BoundaryPolicy::Resident
-                }
-            })
-            .collect(),
-        tier: policies
-            .iter()
-            .map(|p| {
-                if *p == BlockPolicy::Swap {
-                    TierPolicy::Far(0)
-                } else {
-                    TierPolicy::Device
                 }
             })
             .collect(),

@@ -151,12 +151,17 @@ impl Sequential {
     /// layer count, the same parameter count per layer, and element-wise
     /// f32-equal data. Compares in place, without materialising a
     /// [`Sequential::snapshot`]; like `snapshot() == snapshot()`, a NaN
-    /// parameter makes even `net.same_params(&net)` false.
+    /// parameter makes even `net.same_params(&net)` false, and `+0.0`
+    /// equals `-0.0`.
     pub fn same_params(&self, other: &Sequential) -> bool {
         self.layers.len() == other.layers.len()
             && self.layers.iter().zip(&other.layers).all(|(a, b)| {
                 let (pa, pb) = (a.params(), b.params());
-                pa.len() == pb.len() && pa.iter().zip(&pb).all(|(ta, tb)| ta.data == tb.data)
+                pa.len() == pb.len()
+                    && pa
+                        .iter()
+                        .zip(&pb)
+                        .all(|(ta, tb)| f32_slices_equal(&ta.data, &tb.data))
             })
     }
 
@@ -180,6 +185,26 @@ impl Sequential {
         }
         assert_eq!(off, flat.len(), "snapshot too long: architecture mismatch");
     }
+}
+
+/// Elements [`f32_slices_equal`] folds per step.
+const CHUNK: usize = 64;
+
+/// Element-wise `f32 ==` over two slices of one length: NaN is never
+/// equal, `+0.0` equals `-0.0`. Each fixed chunk folds its equalities
+/// without a branch, so it vectorises; the slice `==` exits at the first
+/// unequal element and does not.
+fn f32_slices_equal(a: &[f32], b: &[f32]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let (chunks_a, tail_a) = a.as_chunks::<CHUNK>();
+    let (chunks_b, tail_b) = b.as_chunks::<CHUNK>();
+    tail_a == tail_b
+        && chunks_a
+            .iter()
+            .zip(chunks_b)
+            .all(|(ca, cb)| ca.iter().zip(cb).fold(true, |eq, (x, y)| eq & (x == y)))
 }
 
 /// A small deterministic CNN used across tests, examples and the runtime
@@ -375,6 +400,35 @@ mod tests {
             poisoned.layers[0].params_mut()[0].data[0] = f32::NAN;
             assert!(!poisoned.same_params(&poisoned));
             assert_ne!(poisoned.snapshot(), poisoned.snapshot());
+
+            // Either side of a chunk boundary, in the first tensor that
+            // spans one: one ulp, or a NaN on either side, is unequal;
+            // a flipped zero sign is equal.
+            let (layer, tensor) = (0..net.layers.len())
+                .flat_map(|l| (0..net.layers[l].params().len()).map(move |t| (l, t)))
+                .find(|&(l, t)| net.layers[l].params()[t].data.len() > CHUNK)
+                .expect("a tensor longer than one chunk");
+            let bits =
+                |n: &Sequential| -> Vec<u32> { n.snapshot().iter().map(|v| v.to_bits()).collect() };
+            for i in [CHUNK - 1, CHUNK] {
+                let edited = |f: &dyn Fn(f32) -> f32| {
+                    let mut e = make(4, 5);
+                    let w = &mut e.layers[layer].params_mut()[tensor].data[i];
+                    *w = f(*w);
+                    e
+                };
+                let nudged = edited(&|w| f32::from_bits(w.to_bits() + 1));
+                assert!(!net.same_params(&nudged), "ulp at {i}");
+                assert!(!nudged.same_params(&net), "ulp at {i}");
+                let poisoned = edited(&|_| f32::NAN);
+                assert!(!net.same_params(&poisoned), "NaN at {i}");
+                assert!(!poisoned.same_params(&net), "NaN at {i}");
+                let pos = edited(&|_| 0.0);
+                let neg = edited(&|_| -0.0);
+                assert!(pos.same_params(&neg), "+0 vs -0 at {i}");
+                assert!(neg.same_params(&pos), "-0 vs +0 at {i}");
+                assert_ne!(bits(&pos), bits(&neg));
+            }
 
             // Architecture mismatches are `false`, not a panic.
             assert!(!net.same_params(&make(5, 5)), "different dense shape");
