@@ -70,8 +70,9 @@
 use std::time::Instant;
 
 use karma_bench::report::{BenchEntry, BenchReport, ModelSpeedup};
-use karma_core::bridge::{lower_to_runtime, LoweredPolicy, RuntimeSchedule};
+use karma_core::bridge::lower_to_runtime;
 use karma_core::opt::OptConfig;
+use karma_core::program::{block_ranges, Op};
 use karma_dist::{append_exchange_ops, zero_effective_capacity};
 use karma_graph::{MemoryParams, ModelGraph};
 use karma_hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
@@ -128,36 +129,6 @@ impl Samples {
     fn best(&self) -> f64 {
         self.0[0]
     }
-}
-
-/// The near-memory peak of `sched` over a net cut at `bounds` with every
-/// boundary pinned resident: the schedule as written (each fetch at the
-/// step it names) with its boundary lists left out.
-fn pinned_boundary_peak(sched: &RuntimeSchedule, bounds: &[usize], key_bytes: &[usize]) -> usize {
-    let n_layers = key_bytes.len() - 1;
-    let end = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers);
-    let interior = |b: usize| -> usize { key_bytes[bounds[b] + 1..end(b)].iter().sum() };
-    let interiors = |blocks: &[usize]| -> usize { blocks.iter().map(|&b| interior(b)).sum() };
-    let recomputes = |b: usize| sched.policies[b] == LoweredPolicy::Recompute;
-    let (mut cur, mut peak) = (key_bytes[0], key_bytes[0]);
-    for b in 0..bounds.len() {
-        cur += interior(b) + key_bytes[end(b)];
-        peak = peak.max(cur);
-        if recomputes(b) {
-            cur -= interior(b);
-        }
-        cur -= interiors(&sched.evict_after[b]);
-    }
-    cur -= key_bytes[n_layers];
-    for b in (0..bounds.len()).rev() {
-        cur += interiors(&sched.prefetch_before[b]);
-        if recomputes(b) {
-            cur += interior(b);
-        }
-        peak = peak.max(cur);
-        cur -= key_bytes[bounds[b]] + interior(b);
-    }
-    peak
 }
 
 fn main() {
@@ -292,11 +263,27 @@ fn main() {
             "{}: executed peak != modeled peak",
             graph.name
         );
-        let sched = lower_to_runtime(plan).expect("planner plan must lower");
-        if sched.boundary_evict_blocks() > 0 {
+        let mut pinned = lower_to_runtime(plan).expect("planner plan must lower");
+        if pinned
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::Out(t) if t.boundary))
+        {
+            // The same program, each fetch at the step it names, with
+            // every boundary pinned resident: lone boundary trips dropped
+            // and riding boundaries left behind.
+            pinned
+                .ops
+                .retain(|op| !matches!(op, Op::Out(t) | Op::In(t) if !t.interior));
+            for op in &mut pinned.ops {
+                if let Op::Out(t) | Op::In(t) = op {
+                    t.boundary = false;
+                }
+            }
             let key_bytes: Vec<usize> = net.forward_all(&x).iter().map(Tensor::bytes).collect();
+            let ranges = block_ranges(net_bounds, net.len());
             assert!(
-                s_br.peak_near_bytes < pinned_boundary_peak(&sched, net_bounds, &key_bytes),
+                s_br.peak_near_bytes < pinned.peak(&ranges, &key_bytes),
                 "{}: boundary eviction did not shrink the peak",
                 graph.name
             );

@@ -1,34 +1,38 @@
 //! Lowering execution plans toward the runtime executor (plan half).
 //!
-//! [`lower_to_runtime`] analyses a validated [`Plan`] and extracts the
-//! executor-shaped description of it: one activation policy per block
-//! (resident / swap / recompute), the eviction order of the forward phase
-//! (which blocks swap out after which forward), the prefetch schedule
-//! of the backward phase (which blocks swap in before which backward),
-//! and the boundary-residency contract (which blocks' boundary
-//! activations depart with their swap and when they must be back —
-//! before the block above begins backward, the prefetch deadline rule).
-//! Distributed plans (paper Sec. III-G) are accepted too: their `AR` /
-//! `U` ops are analysed into a [`DistSchedule`] — the per-group phased
-//! gradient exchange (group membership, launch order, and how much of the
-//! remaining backward/swap work each exchange overlaps) that rides
-//! alongside the per-worker [`RuntimeSchedule`]. Plans whose op sequence
-//! the runtime cannot realize — forwards out of block order, a swap-in
-//! that would arrive after the backward that needs it, an exchange
-//! launched before its gradients exist — are rejected with a typed
-//! [`RuntimeLowerError`], never a panic.
+//! [`lower_to_runtime`] analyses a validated [`Plan`] and emits the
+//! [`TransferProgram`] the out-of-core executor runs: one activation
+//! policy per block (resident / swap / recompute) and the step's ops in
+//! issue order — forwards with the swap-outs the plan attaches to them
+//! (which blocks evict after which forward), the loss, then per backward
+//! step the fetches due before it (each at its latest issue step), its
+//! recompute and its backward. Swapped blocks' boundary activations depart
+//! and return on the same transfers or on their own, under the prefetch
+//! deadline rule: a boundary is back before the block above begins
+//! backward. Distributed plans (paper Sec. III-G) are accepted too: their
+//! `AR` / `U` ops are analysed into a [`DistSchedule`] — the per-group
+//! phased gradient exchange (group membership, launch order, and how much
+//! of the remaining backward/swap work each exchange overlaps) that rides
+//! alongside the program. Plans whose op sequence the runtime cannot
+//! realize — forwards out of block order, a swap-in that would arrive
+//! after the backward that needs it, an exchange launched before its
+//! gradients exist — are rejected with a typed [`RuntimeLowerError`],
+//! never a panic.
 //!
-//! The result is deliberately free of runtime types: `karma-runtime`'s
-//! `bridge` module turns a [`RuntimeSchedule`] plus block boundaries and a
-//! byte budget into a real `OocExecutor` (and a [`DistSchedule`] into the
-//! grouped exchange its `dp` module executes). Keeping the analysis here
-//! means the planner side can verify executability (and tests can fuzz
-//! it) without linking the tensor stack.
+//! The result is deliberately free of runtime types: the program names
+//! blocks and steps, never tensors, and `karma-runtime`'s `bridge` module
+//! runs it on a real `OocExecutor` over block boundaries and a byte budget
+//! (and a [`DistSchedule`] as the grouped exchange its `dp` module
+//! executes). Keeping the analysis here means the planner side can verify
+//! executability, pack tiers ([`assign_tiers`]) and fold residency
+//! ([`TransferProgram::near_step`]) on the very program the executor runs
+//! — and tests can fuzz it — without linking the tensor stack.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::plan::{OpKind, Plan};
+use crate::program::{push_compute, Op, Transfer, TransferProgram};
 
 /// Per-block activation policy derived from a plan's op sequence. The
 /// runtime executes it as is: `karma_runtime::BlockPolicy` is this type.
@@ -42,27 +46,6 @@ pub enum LoweredPolicy {
     /// The block has a `R` op: interior activations are dropped after the
     /// forward and re-materialized from the boundary checkpoint.
     Recompute,
-}
-
-/// Per-block residency of the block's *boundary* activation (its final
-/// output — the next block's input). The cost model prices a swapped
-/// block's `Sout`/`Sin` at the full `act_bytes`, boundary included, so a
-/// swapped block's boundary leaves the device with the block; the
-/// recompute checkpoint and the logits must stay, and so does the last
-/// block's input (whose trip would bracket only the loss).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BoundaryPolicy {
-    /// The boundary stays in near memory through the iteration: resident
-    /// blocks, recompute blocks (it is the checkpoint they re-forward
-    /// from, paper Table I), the last block (its boundary is the logits,
-    /// consumed by the loss right after the forward sweep) and block
-    /// `n - 2` (its boundary is the last block's input, and would leave
-    /// and return on the same turnaround step).
-    Resident,
-    /// The boundary departs with the block's swap-out — physically once
-    /// the consumer's forward has read it — and returns with the block's
-    /// swap-in, which must land before the consumer's backward.
-    Evict,
 }
 
 /// Where a block's swapped payload parks — the tier half of a lowering,
@@ -365,82 +348,6 @@ impl DistSchedule {
     }
 }
 
-/// The executor-shaped description of a plan: everything `karma-runtime`
-/// needs to configure an `OocExecutor`, and nothing tied to tensor types.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RuntimeSchedule {
-    /// One policy per block.
-    pub policies: Vec<LoweredPolicy>,
-    /// `evict_after[j]` — blocks whose interiors swap out right after block
-    /// `j`'s forward, in plan issue order.
-    pub evict_after: Vec<Vec<usize>>,
-    /// `prefetch_before[j]` — blocks whose interiors swap back in right
-    /// before backward step `j` is processed, in plan issue order.
-    pub prefetch_before: Vec<Vec<usize>>,
-    /// One boundary-residency policy per block: every swap-policy block
-    /// below the last two evicts its boundary (the cost model prices its
-    /// departure), everything else keeps it resident.
-    pub boundary: Vec<BoundaryPolicy>,
-    /// `boundary_evict_after[j]` — blocks whose boundary activation
-    /// departs right after block `j`'s forward: `max(evict step, b + 1)`,
-    /// since the transfer cannot drain before block `b + 1`'s forward has
-    /// read the boundary. When the step equals the block's interior
-    /// eviction step the boundary rides that swap-out; otherwise it is
-    /// the deferred tail of a swap-out launched earlier.
-    pub boundary_evict_after: Vec<Vec<usize>>,
-    /// `boundary_fetch_before[j]` — blocks whose boundary returns right
-    /// before backward step `j`, riding the block's swap-in. The lowering
-    /// guarantees `j >= b + 1`: the boundary is back before the block
-    /// above begins backward (the prefetch deadline rule).
-    pub boundary_fetch_before: Vec<Vec<usize>>,
-    /// The phased gradient exchange, when the plan is distributed
-    /// (`None` for single-GPU plans with no `AR` / `U` ops).
-    pub dist: Option<DistSchedule>,
-}
-
-impl RuntimeSchedule {
-    /// Number of blocks.
-    pub fn n_blocks(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// Blocks with the swap policy (also the expected swap-out and swap-in
-    /// op counts of an execution).
-    pub fn swap_blocks(&self) -> usize {
-        self.policies
-            .iter()
-            .filter(|p| **p == LoweredPolicy::Swap)
-            .count()
-    }
-
-    /// Blocks with the recompute policy (the expected recompute op count).
-    pub fn recompute_blocks(&self) -> usize {
-        self.policies
-            .iter()
-            .filter(|p| **p == LoweredPolicy::Recompute)
-            .count()
-    }
-
-    /// Forward-phase eviction order (flattened `evict_after`).
-    pub fn eviction_order(&self) -> Vec<usize> {
-        self.evict_after.iter().flatten().copied().collect()
-    }
-
-    /// Blocks whose boundary activation leaves the device (the bytes the
-    /// pre-boundary-eviction executor silently kept resident).
-    pub fn boundary_evict_blocks(&self) -> usize {
-        self.boundary
-            .iter()
-            .filter(|p| **p == BoundaryPolicy::Evict)
-            .count()
-    }
-
-    /// True when the plan carried distributed (`AR` / `U`) ops.
-    pub fn is_distributed(&self) -> bool {
-        self.dist.is_some()
-    }
-}
-
 /// Per-block op indices gathered in one scan.
 struct OpIndex {
     fwd: Vec<Option<usize>>,
@@ -535,9 +442,9 @@ fn analyse_dist(ix: &OpIndex, n: usize) -> Result<DistSchedule, RuntimeLowerErro
     Ok(DistSchedule { groups })
 }
 
-/// Analyse `plan` into a [`RuntimeSchedule`], or explain why the
-/// out-of-core executor cannot realize it. Distributed plans are
-/// accepted: their `AR` / `U` ops become the schedule's
+/// Lower `plan` into the [`TransferProgram`] the out-of-core executor
+/// runs, or explain why it cannot realize the plan. Distributed plans
+/// are accepted: their `AR` / `U` ops become the program's
 /// [`DistSchedule`]. Never panics on a plan that passes
 /// [`Plan::validate`]; structurally invalid plans are returned as
 /// [`RuntimeLowerError::Invalid`].
@@ -559,15 +466,15 @@ fn analyse_dist(ix: &OpIndex, n: usize) -> Result<DistSchedule, RuntimeLowerErro
 /// p.push(OpKind::HostUpdate, 1, vec![ar1]);
 /// p.push(OpKind::HostUpdate, 0, vec![ar0]);
 ///
-/// let sched = lower_to_runtime(&p).unwrap();
-/// let dist = sched.dist.expect("plan has AR/U ops");
+/// let program = lower_to_runtime(&p).unwrap();
+/// let dist = program.dist.expect("plan has AR/U ops");
 /// assert_eq!(dist.n_groups(), 2);
 /// assert_eq!(dist.groups[0].blocks, vec![1]); // launch order: last block first
 /// assert_eq!(dist.groups[1].blocks, vec![0]);
 /// assert_eq!(dist.groups[0].overlap_backwards(), 1); // overlaps B(0)
 /// assert!(dist.groups.iter().all(|g| g.has_update));
 /// ```
-pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerError> {
+pub fn lower_to_runtime(plan: &Plan) -> Result<TransferProgram, RuntimeLowerError> {
     plan.validate().map_err(RuntimeLowerError::Invalid)?;
     let n = plan.n_blocks;
     if n == 0 {
@@ -660,68 +567,64 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
         }
     }
 
-    // Eviction order: attach each Sout to the latest forward issued
-    // before it.
-    let mut evict_after = vec![Vec::new(); n];
-    let mut evict_step = vec![usize::MAX; n];
-    let mut souts: Vec<(usize, usize)> =
-        (0..n).filter_map(|b| ix.sout[b].map(|i| (i, b))).collect();
-    souts.sort_unstable();
-    for (i, b) in souts {
-        let j = (0..n)
-            .rev()
-            .find(|&j| ix.fwd[j].unwrap() < i)
-            .expect("Sout checked to follow its own forward");
-        evict_after[j].push(b);
-        evict_step[b] = j;
-    }
-
-    // Prefetch schedule: attach each Sin to the backward step owning the
-    // next compute op.
-    let mut prefetch_before = vec![Vec::new(); n];
-    let mut fetch_step = vec![usize::MAX; n];
-    let mut sins: Vec<(usize, usize)> = (0..n).filter_map(|b| ix.sin[b].map(|i| (i, b))).collect();
-    sins.sort_unstable();
-    for (i, b) in sins {
-        let &(_, j, is_bwd) = compute_ops
-            .iter()
-            .find(|&&(ci, _, _)| ci > i)
-            .expect("Sin checked to precede its own backward");
-        if is_bwd && ix.rec[j].is_some() {
-            // The step's recompute already ran; the executor cannot fetch
-            // between a re-forward and its backward.
-            return Err(RuntimeLowerError::SwapInSplitsRecompute { block: b });
-        }
-        prefetch_before[j].push(b);
-        fetch_step[b] = j;
-    }
-
-    // Boundary residency: a swapped block's Sout/Sin move the *full*
+    // Emit the program. A swapped block's Sout/Sin move the *full*
     // activation payload — the cost model credits `act_bytes`, boundary
-    // included — so every swap block below the last two evicts its
+    // included — so every swap block below the last two carries its
     // boundary. The last block's boundary is the logits. Block `n - 2`'s
     // is the last block's input: its departure (at or after step `n - 1`)
     // and its return (at or before step `n - 1`) fall on the same
     // turnaround step, bracketing only the loss, so the trip would move
     // bytes without lowering the peak reached at F(n-1)'s end.
-    // Departure cannot precede the consumer's forward (block `b + 1`
-    // reads the boundary as its input). The return rides the block's Sin
-    // when that Sin lands at or before backward step `b + 1` — the step
-    // whose recompute/backward restarts from the boundary. When the Sin
-    // lands *below* the consumer (the block fetches at its own step),
-    // the boundary returns on its own separate transfer at step `b + 1`
-    // instead: the executor processes split boundary returns before that
-    // step's recompute/backward, so the deadline still holds.
-    let mut boundary = vec![BoundaryPolicy::Resident; n];
-    let mut boundary_evict_after = vec![Vec::new(); n];
-    let mut boundary_fetch_before = vec![Vec::new(); n];
-    for b in 0..n {
-        if policies[b] != LoweredPolicy::Swap || b + 2 >= n {
-            continue;
+    let departs = |b: usize| policies[b] == LoweredPolicy::Swap && b + 2 < n;
+    let issued = |slots: &[Option<usize>]| {
+        let mut ops: Vec<(usize, usize)> =
+            (0..n).filter_map(|b| slots[b].map(|i| (i, b))).collect();
+        ops.sort_unstable();
+        ops.into_iter().peekable()
+    };
+    let mut ops = Vec::with_capacity(plan.ops.len() + 2 * n + 1);
+
+    // Forward half: each Sout issues after the latest forward before it.
+    // A boundary cannot leave before the consumer's forward has read it
+    // (block `b + 1` reads it as its input): it rides its block's Sout
+    // issued at step `b + 1` or later, and otherwise departs alone right
+    // after F(b + 1), ahead of that step's swap-outs.
+    let mut souts = issued(&ix.sout);
+    for j in 0..n {
+        ops.push(Op::Forward(j));
+        if j > 0 && departs(j - 1) && ix.sout[j - 1] < ix.fwd[j] {
+            ops.push(Op::Out(Transfer::out(j - 1, j, false, true)));
         }
-        boundary[b] = BoundaryPolicy::Evict;
-        boundary_evict_after[evict_step[b].max(b + 1)].push(b);
-        boundary_fetch_before[fetch_step[b].max(b + 1)].push(b);
+        while let Some((_, b)) = souts.next_if(|&(i, _)| j + 1 == n || Some(i) < ix.fwd[j + 1]) {
+            ops.push(Op::Out(Transfer::out(b, j, true, departs(b) && j > b)));
+        }
+    }
+    ops.push(Op::Loss);
+
+    // Backward half: each Sin issues before the backward step owning the
+    // next compute op. A boundary rides its block's Sin when that Sin
+    // lands at or before backward step `b + 1` — the step whose
+    // recompute/backward restarts from the boundary. When the Sin lands
+    // *below* the consumer (the block fetches at its own step), the
+    // boundary returns alone at step `b + 1` instead, ahead of that
+    // step's fetches and recompute: it is the step's hardest deadline.
+    let mut sins = issued(&ix.sin);
+    for j in (0..n).rev() {
+        if j > 0 && departs(j - 1) && ix.sin[j - 1] > ix.bwd[j] {
+            ops.push(Op::In(Transfer::fetch(j - 1, j, false, true)));
+        }
+        let first_compute = ix.rec[j].or(ix.bwd[j]);
+        while let Some((_, b)) = sins.next_if(|&(i, _)| Some(i) < first_compute) {
+            ops.push(Op::In(Transfer::fetch(b, j, true, departs(b) && j > b)));
+        }
+        if let Some(&(i, b)) = sins.peek() {
+            if Some(i) < ix.bwd[j] {
+                // The step's recompute already ran; the executor cannot
+                // fetch between a re-forward and its backward.
+                return Err(RuntimeLowerError::SwapInSplitsRecompute { block: b });
+            }
+        }
+        push_compute(&mut ops, &policies, j);
     }
 
     // Distributed half: AR/U ops become the phased-exchange schedule.
@@ -732,44 +635,43 @@ pub fn lower_to_runtime(plan: &Plan) -> Result<RuntimeSchedule, RuntimeLowerErro
         None
     };
 
-    Ok(RuntimeSchedule {
+    Ok(TransferProgram {
+        ops,
         policies,
-        evict_after,
-        prefetch_before,
-        boundary,
-        boundary_evict_after,
-        boundary_fetch_before,
         dist,
     })
 }
 
-/// Pack a lowered schedule's swap blocks onto a finite tier stack by
+/// Pack a lowered program's swap blocks onto a finite tier stack by
 /// greedy first-fit over the blocks' *parked intervals*.
 ///
-/// Block `b`'s interiors leave the device after its eviction step and
-/// return at its fetch step; its boundary (when evicted) departs at its
-/// own — possibly later — departure step and returns with the same fetch.
-/// Within that window the payload occupies its tier, so two blocks whose
-/// windows overlap compete for capacity while blocks parked at disjoint
-/// times share it. The packer walks blocks front to back and gives each
-/// the fastest tier whose capacity holds the tier's occupancy timeline
-/// everywhere; a block that fits nowhere makes the plan infeasible on
-/// this stack ([`RuntimeLowerError::TierCapacityExceeded`]).
+/// Block `b`'s interiors leave the device with its swap-out and return
+/// with its fetch; its boundary (when it leaves) departs and returns on
+/// its own steps, which the program's `Out` / `In` ops name — riding the
+/// interiors' transfers or apart from them. Within that window the
+/// payload occupies its tier, so two blocks whose windows overlap compete
+/// for capacity while blocks parked at disjoint times share it. The
+/// packer walks blocks front to back and gives each the fastest tier whose
+/// capacity holds the tier's occupancy timeline everywhere; a block that
+/// fits nowhere makes the plan infeasible on this stack
+/// ([`RuntimeLowerError::TierCapacityExceeded`]). Fetches are read at the
+/// steps the lowering names (their latest), so the packing holds wherever
+/// placement issues them.
 ///
 /// `tier_caps` are byte capacities fastest-first (`usize::MAX` =
 /// unbounded); `interior_bytes[b]` / `boundary_bytes[b]` are block `b`'s
 /// interior payload and boundary activation sizes.
 pub fn assign_tiers(
-    sched: &RuntimeSchedule,
+    program: &TransferProgram,
     tier_caps: &[usize],
     interior_bytes: &[usize],
     boundary_bytes: &[usize],
 ) -> Result<Vec<TierPolicy>, RuntimeLowerError> {
-    let n = sched.n_blocks();
+    let n = program.policies.len();
     assert_eq!(interior_bytes.len(), n, "one interior byte count per block");
     assert_eq!(boundary_bytes.len(), n, "one boundary byte count per block");
     let mut tier = vec![TierPolicy::Device; n];
-    if sched.swap_blocks() == 0 {
+    if program.swap_blocks() == 0 {
         return Ok(tier);
     }
     if tier_caps.is_empty() {
@@ -782,50 +684,57 @@ pub fn assign_tiers(
     // forward slot (additions only, so the slot's high-water mark is its
     // final value) and fetches at the start of their backward slot.
     let slots = 2 * n;
-    let step_of = |lists: &[Vec<usize>], b: usize| lists.iter().position(|l| l.contains(&b));
+    // Per block: the departure step of its [interiors, boundary], its
+    // parked timeline and its parked payload.
+    let mut departed = vec![[0usize; 2]; n];
+    let mut add = vec![vec![0usize; slots]; n];
+    let mut payload = vec![0usize; n];
+    for op in &program.ops {
+        match op {
+            Op::Out(t) => {
+                for (part, moves) in [(0, t.interior), (1, t.boundary)] {
+                    if moves {
+                        departed[t.block][part] = t.step;
+                    }
+                }
+            }
+            Op::In(t) => {
+                let ret = n + (n - 1 - t.step);
+                let parts = [
+                    (0, t.interior, interior_bytes),
+                    (1, t.boundary, boundary_bytes),
+                ];
+                for (part, moves, bytes) in parts {
+                    if moves {
+                        for s in &mut add[t.block][departed[t.block][part]..ret] {
+                            *s += bytes[t.block];
+                        }
+                        payload[t.block] += bytes[t.block];
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
     let mut usage = vec![vec![0usize; slots]; tier_caps.len()];
     for b in 0..n {
-        if sched.policies[b] != LoweredPolicy::Swap {
+        if program.policies[b] != LoweredPolicy::Swap {
             continue;
         }
-        let e = step_of(&sched.evict_after, b).expect("swap block has an eviction step");
-        let f = step_of(&sched.prefetch_before, b).expect("swap block has a fetch step");
-        let ret = n + (n - 1 - f);
-        let mut add = vec![0usize; slots];
-        for s in add.iter_mut().take(ret).skip(e) {
-            *s += interior_bytes[b];
-        }
-        if sched.boundary[b] == BoundaryPolicy::Evict {
-            let be = step_of(&sched.boundary_evict_after, b)
-                .expect("evicted boundary has a departure step");
-            // The boundary's own return step: the interior's fetch step
-            // when it rides the Sin, the consumer's step (earlier in
-            // time) when the return is split off.
-            let bf = step_of(&sched.boundary_fetch_before, b)
-                .expect("evicted boundary has a return step");
-            let bret = n + (n - 1 - bf);
-            for s in add.iter_mut().take(bret).skip(be) {
-                *s += boundary_bytes[b];
-            }
-        }
-        let fits = |u: &[usize], cap: usize| u.iter().zip(&add).all(|(&used, &a)| used + a <= cap);
+        let fits =
+            |u: &[usize], cap: usize| u.iter().zip(&add[b]).all(|(&used, &a)| used + a <= cap);
         match (0..tier_caps.len()).find(|&t| fits(&usage[t], tier_caps[t])) {
             Some(t) => {
-                for (u, a) in usage[t].iter_mut().zip(&add) {
+                for (u, a) in usage[t].iter_mut().zip(&add[b]) {
                     *u += a;
                 }
                 tier[b] = TierPolicy::Far(t);
             }
             None => {
-                let boundary = if sched.boundary[b] == BoundaryPolicy::Evict {
-                    boundary_bytes[b]
-                } else {
-                    0
-                };
                 return Err(RuntimeLowerError::TierCapacityExceeded {
                     block: b,
-                    bytes: interior_bytes[b] + boundary,
-                });
+                    bytes: payload[b],
+                })
             }
         }
     }
@@ -837,6 +746,30 @@ mod tests {
     use super::*;
     use crate::capacity::{build_training_plan, CapacityPlanOptions, PrefetchPolicy};
     use crate::cost::BlockCosts;
+    use crate::program::ExecEvent;
+
+    /// The program's transfers as `(event, block, issue step)`: its
+    /// swap-outs (`out`) or its fetches, in issue order.
+    fn transfers(p: &TransferProgram, out: bool) -> Vec<(ExecEvent, usize, usize)> {
+        let pick = |op: &Op| match op {
+            Op::Out(t) if out => Some(t.clone()),
+            Op::In(t) if !out => Some(t.clone()),
+            _ => None,
+        };
+        let moved = p.ops.iter().filter_map(pick);
+        moved.map(|t| (t.event(), t.block, t.step)).collect()
+    }
+
+    /// Blocks whose boundary leaves the device, front to back.
+    fn boundary_blocks(p: &TransferProgram) -> Vec<usize> {
+        let departs = |op: &Op| match op {
+            Op::Out(t) if t.boundary => Some(t.block),
+            _ => None,
+        };
+        let mut blocks: Vec<usize> = p.ops.iter().filter_map(departs).collect();
+        blocks.sort_unstable();
+        blocks
+    }
 
     fn costs(n: usize, act: u64, swap_s: f64, capacity_blocks: f64) -> BlockCosts {
         BlockCosts {
@@ -860,7 +793,7 @@ mod tests {
         let c = costs(6, 100, 2.0, 4.0);
         let cp = build_training_plan(&c, &CapacityPlanOptions::karma(6));
         let s = lower_to_runtime(&cp.plan).unwrap();
-        assert_eq!(s.n_blocks(), 6);
+        assert_eq!(s.policies.len(), 6);
         for b in 0..6 {
             let expect = if b < cp.resident_from {
                 LoweredPolicy::Swap
@@ -872,19 +805,20 @@ mod tests {
         assert_eq!(s.swap_blocks(), cp.plan.count(OpKind::SwapOut));
         assert_eq!(s.swap_blocks(), cp.plan.count(OpKind::SwapIn));
         // Forward-phase evictions come front to back.
-        let order = s.eviction_order();
+        let order: Vec<usize> = transfers(&s, true)
+            .into_iter()
+            .filter(|&(e, _, _)| e == ExecEvent::SwapOut)
+            .map(|(_, b, _)| b)
+            .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
         // Every swapped block below the last two evicts its boundary;
         // resident blocks keep theirs.
+        let evicting = boundary_blocks(&s);
         for b in 0..6 {
-            let expect = if s.policies[b] == LoweredPolicy::Swap && b + 2 < 6 {
-                BoundaryPolicy::Evict
-            } else {
-                BoundaryPolicy::Resident
-            };
-            assert_eq!(s.boundary[b], expect, "block {b} boundary");
+            let expect = s.policies[b] == LoweredPolicy::Swap && b + 2 < 6;
+            assert_eq!(evicting.contains(&b), expect, "block {b} boundary");
         }
-        assert_eq!(s.boundary_evict_blocks(), s.swap_blocks());
+        assert_eq!(evicting.len(), s.swap_blocks());
     }
 
     #[test]
@@ -903,24 +837,28 @@ mod tests {
         };
         let cp = build_training_plan(&c, &opts);
         let s = lower_to_runtime(&cp.plan).unwrap();
-        assert_eq!(s.boundary[4], BoundaryPolicy::Resident, "logits stay");
-        assert_eq!(
-            s.boundary[3],
-            BoundaryPolicy::Resident,
-            "the last block's input stays"
-        );
-        assert_eq!(s.boundary_evict_blocks(), 3);
-        for (j, list) in s.boundary_evict_after.iter().enumerate() {
-            for &e in list {
-                assert!(j > e, "boundary of {e} left before F({}) read it", e + 1);
-            }
-        }
-        for (j, list) in s.boundary_fetch_before.iter().enumerate() {
-            for &p in list {
-                assert!(j > p, "boundary of {p} back after B({})", p + 1);
-                // The boundary rides the block's swap-in, or returns on
-                // its own split transfer at the consumer's step.
-                assert!(s.prefetch_before[j].contains(&p) || j == p + 1);
+        // The logits (block 4's boundary) and the last block's input
+        // (block 3's) stay.
+        assert_eq!(boundary_blocks(&s), [0, 1, 2]);
+        for op in &s.ops {
+            match op {
+                Op::Out(t) if t.boundary => {
+                    let e = t.block;
+                    assert!(
+                        t.step > e,
+                        "boundary of {e} left before F({}) read it",
+                        e + 1
+                    );
+                }
+                Op::In(t) if t.boundary => {
+                    let p = t.block;
+                    assert!(t.step > p, "boundary of {p} back after B({})", p + 1);
+                    assert_eq!(t.deadline, Some(p + 1));
+                    // The boundary rides the block's swap-in, or returns on
+                    // its own split transfer at the consumer's step.
+                    assert!(t.interior || t.step == p + 1);
+                }
+                _ => {}
             }
         }
     }
@@ -942,14 +880,13 @@ mod tests {
         p.push(OpKind::Backward, 0, vec![b1, si]);
         let s = lower_to_runtime(&p).unwrap();
         assert_eq!(s.policies[0], LoweredPolicy::Swap);
-        assert_eq!(s.boundary[0], BoundaryPolicy::Evict);
-        assert_eq!(s.prefetch_before[0], vec![0], "interior fetch stays put");
+        assert_eq!(boundary_blocks(&s), [0]);
+        // The interior fetch stays put; the boundary returns alone at the
+        // consumer's step: split, not riding.
         assert_eq!(
-            s.boundary_fetch_before[1],
-            vec![0],
-            "boundary returns at the consumer's step"
+            transfers(&s, false),
+            [(ExecEvent::BoundaryIn, 0, 1), (ExecEvent::SwapIn, 0, 0)]
         );
-        assert!(!s.prefetch_before[1].contains(&0), "split, not riding");
     }
 
     #[test]
@@ -969,9 +906,18 @@ mod tests {
         p.push(OpKind::Backward, 0, vec![b1, si]);
         let s = lower_to_runtime(&p).unwrap();
         assert_eq!(s.policies[1], LoweredPolicy::Recompute);
-        assert_eq!(s.boundary[0], BoundaryPolicy::Evict);
-        assert_eq!(s.prefetch_before[0], vec![0]);
-        assert_eq!(s.boundary_fetch_before[1], vec![0]);
+        assert_eq!(boundary_blocks(&s), [0]);
+        assert_eq!(
+            transfers(&s, false),
+            [(ExecEvent::BoundaryIn, 0, 1), (ExecEvent::SwapIn, 0, 0)]
+        );
+        // The split return precedes the consumer's recompute.
+        let at = |want: &Op| s.ops.iter().position(|op| op == want).unwrap();
+        let split = s
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::In(t) if !t.interior));
+        assert!(split.unwrap() < at(&Op::Recompute(1)));
     }
 
     #[test]
@@ -984,8 +930,7 @@ mod tests {
         let si = p.push(OpKind::SwapIn, 0, vec![so]);
         p.push(OpKind::Backward, 0, vec![f0, si]);
         let s = lower_to_runtime(&p).unwrap();
-        assert_eq!(s.boundary, vec![BoundaryPolicy::Resident]);
-        assert_eq!(s.boundary_evict_blocks(), 0);
+        assert!(boundary_blocks(&s).is_empty());
     }
 
     #[test]
@@ -1032,7 +977,7 @@ mod tests {
         let cp = build_training_plan(&c, &CapacityPlanOptions::karma(4));
         let s = lower_to_runtime(&cp.plan).unwrap();
         assert!(s.policies.iter().all(|p| *p == LoweredPolicy::Resident));
-        assert!(s.eviction_order().is_empty());
+        assert!(transfers(&s, true).is_empty());
     }
 
     /// 3 blocks, grouped {2,1} + {0}: the shape `karma-dist`'s pipeline
@@ -1058,7 +1003,7 @@ mod tests {
     #[test]
     fn distributed_ops_are_analysed_into_groups() {
         let s = lower_to_runtime(&dist_plan(true)).unwrap();
-        assert!(s.is_distributed());
+        assert!(s.dist.is_some());
         let d = s.dist.unwrap();
         assert_eq!(d.n_groups(), 2);
         assert_eq!(d.groups[0].blocks, vec![2, 1]);
@@ -1083,7 +1028,7 @@ mod tests {
     fn single_gpu_plans_have_no_dist_schedule() {
         let c = costs(4, 100, 2.0, 100.0);
         let cp = build_training_plan(&c, &CapacityPlanOptions::karma(4));
-        assert!(!lower_to_runtime(&cp.plan).unwrap().is_distributed());
+        assert!(lower_to_runtime(&cp.plan).unwrap().dist.is_none());
     }
 
     #[test]
@@ -1323,7 +1268,7 @@ mod tests {
     /// Eager swap-everything over 5 equal blocks: each block's interiors
     /// park from its forward to its backward, so the windows nest and
     /// every pair overlaps somewhere.
-    fn eager_swap_schedule() -> RuntimeSchedule {
+    fn eager_swap_schedule() -> TransferProgram {
         let c = costs(5, 100, 1.0, 2.5);
         let opts = CapacityPlanOptions {
             recompute: vec![false; 5],

@@ -21,8 +21,8 @@
 //!    paper's `F1 → F2‖Sout1 → …` notation) built by [`capacity`]
 //!    (Algorithm 1: the capacity-based schedule, Fig. 2 (b)/(c)), lowered
 //!    onto the event simulator by [`lower`] and toward the real
-//!    out-of-core executor by [`bridge`] (consumed by
-//!    `karma-runtime::bridge`).
+//!    out-of-core executor by [`bridge`], whose output is the
+//!    [`program`] the executor runs (consumed by `karma-runtime`).
 //!
 //! The one-call facade is [`planner::Karma`].
 //!
@@ -41,10 +41,11 @@ pub mod occupancy;
 pub mod opt;
 pub mod plan;
 pub mod planner;
+pub mod program;
 
 pub use bridge::{
-    assign_tiers, lower_to_runtime, BoundaryPolicy, DistGroup, DistSchedule, LoweredPolicy,
-    RuntimeLowerError, RuntimeSchedule, TierPolicy,
+    assign_tiers, lower_to_runtime, DistGroup, DistSchedule, LoweredPolicy, RuntimeLowerError,
+    TierPolicy,
 };
 pub use capacity::{build_training_plan, CapacityPlanOptions};
 pub use codegen::generate_training_script;
@@ -54,3 +55,4 @@ pub use occupancy::OccupancyModel;
 pub use opt::{optimize_blocking, refine_recompute, OptConfig};
 pub use plan::{OpKind, Plan, PlanOp};
 pub use planner::{Karma, KarmaOptions, KarmaPlan};
+pub use program::TransferProgram;

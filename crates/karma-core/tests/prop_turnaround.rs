@@ -122,3 +122,53 @@ fn fine_partitions_keep_the_last_block_too() {
     )
     .unwrap();
 }
+
+/// The turnaround half of `refine_recompute`'s candidate rule,
+/// deterministically. On this swap-bound chain the last block's forward
+/// is free, so re-forwarding it costs no compute, and the capacity
+/// bookkeeping counts a recomputed block's checkpoint only: the simulator
+/// prices `R(n−1)` as no slower, here even faster. A sweep that starts
+/// from it, or flips it on, never finds a flip back that strictly
+/// improves the makespan. Only the rule itself keeps the flag clear.
+#[test]
+fn a_free_last_forward_still_never_recomputes() {
+    use karma_core::lower::{simulate_plan, LowerOptions};
+    let (n, act) = (4, 100u64);
+    let forward = vec![0.01, 0.01, 0.01, 0.0];
+    let costs = BlockCosts {
+        backward: forward.iter().map(|f| 2.0 * f + 0.1).collect(),
+        forward,
+        act_bytes: vec![act; n],
+        swap_bytes: vec![act; n],
+        boundary_bytes: vec![act / 10; n],
+        transient_bytes: vec![0; n],
+        state_bytes: vec![0; n],
+        grad_bytes: vec![act / 2; n],
+        params: vec![1; n],
+        // One second per block on the link: swapping is far dearer than
+        // re-forwarding.
+        swap_bw: act as f64,
+        act_capacity: (2.5 * act as f64) as i64,
+        batch: 1,
+    };
+    let makespan = |rc: Vec<bool>| {
+        let cp = build_training_plan(&costs, &CapacityPlanOptions::karma_with_recompute(rc));
+        let (_, m) = simulate_plan(&cp.plan, &costs, &LowerOptions::default());
+        assert!(m.capacity_ok);
+        m.makespan
+    };
+    // The premise: dropping `R(n−1)` never strictly helps.
+    let mut rest = vec![false, true, true, false];
+    let kept = makespan(rest.clone());
+    rest[n - 1] = true;
+    assert!(makespan(rest) <= kept, "R({}) costs time here", n - 1);
+    let refined = refine_recompute(&costs);
+    assert!(
+        !refined[n - 1],
+        "refinement flags the last block: {refined:?}"
+    );
+    assert!(
+        refined.iter().any(|&r| r),
+        "the chain recomputes: {refined:?}"
+    );
+}

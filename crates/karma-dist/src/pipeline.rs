@@ -77,8 +77,8 @@ pub struct DistResult {
 /// This is the single source of the distributed op shape:
 /// [`karma_dp_iteration`] emits through it, and
 /// `karma_core::bridge::lower_to_runtime` recovers exactly these groups
-/// as its `DistSchedule` — the round-trip the distributed
-/// plan→runtime tests pin.
+/// as the `DistSchedule` riding alongside the transfer program it emits
+/// — the round-trip the distributed plan→runtime tests pin.
 pub fn append_exchange_ops(plan: &mut Plan, groups: &PhasedExchange) {
     for g in &groups.groups {
         let lead = g.blocks[0];

@@ -7,14 +7,13 @@
 //! near-memory budget from the plan's own residency replay and lowers it.
 //!
 //! [`lower_plan`] turns a validated `karma-core` [`Plan`] into a configured
-//! [`OocExecutor`]: `karma_core::bridge::lower_to_runtime` extracts the
-//! per-block [`crate::BlockPolicy`], the plan's exact eviction order, its
-//! prefetch schedule (each fetch's latest issue step) and the boundary
-//! departures and returns, and the executor lowers that schedule once
-//! into the transfer program it holds and interprets every step. Plans
-//! the executor cannot realize come back as a typed [`BridgeError`],
-//! never a panic; nothing re-checks the schedule after
-//! `lower_to_runtime`.
+//! [`OocExecutor`]: `karma_core::bridge::lower_to_runtime` emits the
+//! transfer program — the per-block [`crate::BlockPolicy`], the plan's
+//! exact eviction order, each fetch at its latest issue step and the
+//! boundary departures and returns, as one step-ordered op list — and the
+//! executor holds that program and interprets it every step. Plans the
+//! executor cannot realize come back as a typed [`BridgeError`], never a
+//! panic; nothing re-checks the program after `lower_to_runtime`.
 //!
 //! Distributed plans lower too: [`lower_dist_plan`] additionally turns
 //! the plan's `AR`/`U` ops (analysed into a
@@ -60,14 +59,13 @@
 //! assert_eq!(stats.swap_in_ops, p.count(OpKind::SwapIn));
 //! ```
 
-use karma_core::bridge::{
-    assign_tiers, lower_to_runtime, RuntimeLowerError, RuntimeSchedule, TierPolicy,
-};
+use karma_core::bridge::{assign_tiers, lower_to_runtime, RuntimeLowerError, TierPolicy};
 use karma_core::capacity::{build_training_plan, CapacityPlanOptions};
 use karma_core::cost::{BlockCosts, LayerCostTable};
 use karma_core::occupancy::OccupancyModel;
 use karma_core::opt::{optimize_blocking, refine_recompute, OptConfig};
 use karma_core::plan::{OpKind, Plan};
+use karma_core::program::{Op, Transfer, TransferProgram};
 use karma_graph::{MemoryParams, ModelGraph};
 use karma_hw::NodeSpec;
 use karma_sim::ModelProfile;
@@ -77,7 +75,6 @@ use std::fmt;
 
 use crate::dp::ExchangeSchedule;
 use crate::exec::{ExecEvent, OocExecutor, ResidencySample};
-use crate::program::{Op, Transfer};
 use crate::store::TierSpec;
 
 /// Why a plan could not be bridged onto the executor.
@@ -280,6 +277,7 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 /// ```
 /// use karma_core::bridge::lower_to_runtime;
 /// use karma_core::plan::{OpKind, Plan};
+/// use karma_core::program::Op;
 /// use karma_runtime::bridge::{lower_plan, ResidencyReplay};
 /// use karma_runtime::{BlockPolicy, ExecEvent};
 ///
@@ -296,25 +294,30 @@ fn check_boundaries(plan: &Plan, boundaries: &[usize], n_layers: usize) -> Resul
 /// let b1 = p.push(OpKind::Backward, 1, vec![b2]);
 /// p.push(OpKind::Backward, 0, vec![b1, si]);
 ///
-/// // The schedule the executor lowers: block 0 evicts after F(0) and is
+/// // The program the executor runs: block 0 evicts after F(0) and is
 /// // fetched by B(1). Its boundary leaves once F(1) has read it and
 /// // returns riding its swap-in. (Block 1's boundary is the last block's
 /// // input and would leave and return at the turnaround: it stays.)
-/// let sched = lower_to_runtime(&p).unwrap();
-/// assert_eq!(sched.evict_after, [vec![0], vec![], vec![]]);
-/// assert_eq!(sched.prefetch_before, [vec![], vec![0], vec![]]);
-/// assert_eq!(sched.boundary_evict_after, [vec![], vec![0], vec![]]);
-/// assert_eq!(sched.boundary_fetch_before, [vec![], vec![0], vec![]]);
+/// let program = lower_to_runtime(&p).unwrap();
+/// let moves: Vec<_> = program
+///     .ops
+///     .iter()
+///     .filter_map(|op| match op {
+///         Op::Out(t) | Op::In(t) => Some((t.event(), t.block, t.step)),
+///         _ => None,
+///     })
+///     .collect();
+/// use ExecEvent::{Backward, BoundaryOut, Forward, SwapIn, SwapOut};
+/// assert_eq!(moves, [(SwapOut, 0, 0), (BoundaryOut, 0, 1), (SwapIn, 0, 1)]);
 ///
 /// let exec = lower_plan(&p, &[0, 3, 6], usize::MAX / 2, 8).unwrap();
 /// use BlockPolicy::{Resident, Swap};
 /// assert_eq!(exec.policies(), &[Swap, Resident, Resident]);
-/// // The executor's program, as its replay samples it: the interiors
-/// // leave after F(0), the boundary after F(1), and both return before
-/// // B(1) as one transfer.
+/// // The same program, as the executor's replay samples it: the
+/// // interiors leave after F(0), the boundary after F(1), and both
+/// // return before B(1) as one transfer.
 /// let replay = ResidencyReplay::of(&exec, &[16; 9]).unwrap();
 /// let events: Vec<_> = replay.samples.iter().map(|s| (s.event, s.block)).collect();
-/// use ExecEvent::{Backward, BoundaryOut, Forward, SwapIn, SwapOut};
 /// assert_eq!(
 ///     events,
 ///     [
@@ -336,8 +339,7 @@ pub fn lower_plan(
     budget: usize,
     n_layers: usize,
 ) -> Result<OocExecutor, BridgeError> {
-    let sched = lower_to_runtime(plan)?;
-    build_executor(&sched, plan, boundaries, budget, n_layers)
+    build_executor(lower_to_runtime(plan)?, plan, boundaries, budget, n_layers)
 }
 
 /// [`lower_plan`] with a far-memory tier stack: pack each swapped block's
@@ -361,15 +363,14 @@ pub fn lower_plan_tiered(
     if tiers.is_empty() {
         return Err(BridgeError::Lower(RuntimeLowerError::TierStackEmpty));
     }
-    let (sched, exec) = lower_priced(plan, boundaries, budget, n_layers, key_bytes)?;
-    let (interior_bytes, boundary_bytes): (Vec<usize>, Vec<usize>) = (0..plan.n_blocks)
-        .map(|b| {
-            let (s, e) = exec.block_range(b);
-            (key_bytes[s + 1..e].iter().sum::<usize>(), key_bytes[e])
-        })
+    let exec = lower_priced(plan, boundaries, budget, n_layers, key_bytes)?;
+    let (interior_bytes, boundary_bytes): (Vec<usize>, Vec<usize>) = exec
+        .ranges()
+        .iter()
+        .map(|&(s, e)| (key_bytes[s + 1..e].iter().sum::<usize>(), key_bytes[e]))
         .unzip();
     let caps: Vec<usize> = tiers.iter().map(|t| t.capacity).collect();
-    let routed = assign_tiers(&sched, &caps, &interior_bytes, &boundary_bytes)?;
+    let routed = assign_tiers(exec.program(), &caps, &interior_bytes, &boundary_bytes)?;
     let tier_of: Vec<usize> = routed
         .iter()
         .map(|p| match p {
@@ -389,11 +390,10 @@ fn lower_priced(
     budget: usize,
     n_layers: usize,
     key_bytes: &[usize],
-) -> Result<(RuntimeSchedule, OocExecutor), BridgeError> {
-    let sched = lower_to_runtime(plan)?;
-    let exec = build_executor(&sched, plan, boundaries, budget, n_layers)?;
+) -> Result<OocExecutor, BridgeError> {
+    let exec = lower_plan(plan, boundaries, budget, n_layers)?;
     check_key_bytes(key_bytes, n_layers)?;
-    Ok((sched, exec))
+    Ok(exec)
 }
 
 /// Check that `key_bytes` sizes every near-memory key of an
@@ -428,18 +428,18 @@ fn check_routing(plan: &Plan, tier_of: &[usize], n_tiers: usize) -> Result<(), B
     Ok(())
 }
 
-/// Turn an already-analysed schedule into the configured executor.
+/// Run a lowered program on an executor over `boundaries`.
 fn build_executor(
-    sched: &RuntimeSchedule,
+    program: TransferProgram,
     plan: &Plan,
     boundaries: &[usize],
     budget: usize,
     n_layers: usize,
 ) -> Result<OocExecutor, BridgeError> {
     check_boundaries(plan, boundaries, n_layers)?;
-    Ok(OocExecutor::from_schedule(
+    Ok(OocExecutor::from_program(
         boundaries.to_vec(),
-        sched,
+        program,
         budget,
         n_layers,
     ))
@@ -456,12 +456,12 @@ pub fn lower_dist_plan(
     budget: usize,
     n_layers: usize,
 ) -> Result<(OocExecutor, ExchangeSchedule), BridgeError> {
-    let mut sched = lower_to_runtime(plan)?;
-    let xchg = match sched.dist.take() {
+    let mut program = lower_to_runtime(plan)?;
+    let xchg = match program.dist.take() {
         Some(d) => ExchangeSchedule::new(d.group_blocks(), plan.n_blocks),
         None => ExchangeSchedule::per_block(plan.n_blocks),
     };
-    let exec = build_executor(&sched, plan, boundaries, budget, n_layers)?;
+    let exec = build_executor(program, plan, boundaries, budget, n_layers)?;
     Ok((exec, xchg))
 }
 
@@ -517,14 +517,14 @@ pub fn expected_exchange(
     workers: usize,
     steps: usize,
 ) -> Result<ExchangeReplay, BridgeError> {
-    let sched = lower_to_runtime(plan)?;
+    let program = lower_to_runtime(plan)?;
     if grad_bytes.len() != plan.n_blocks {
         return Err(BridgeError::GradBytesLength {
             expected: plan.n_blocks,
             got: grad_bytes.len(),
         });
     }
-    let groups: Vec<Vec<usize>> = match sched.dist {
+    let groups: Vec<Vec<usize>> = match program.dist {
         Some(d) => d.group_blocks(),
         None => (0..plan.n_blocks).rev().map(|b| vec![b]).collect(),
     };
@@ -762,12 +762,10 @@ pub fn expected_swap_timing(
         });
     }
     // The executor is never run: only its transfer program is read.
-    let (_, exec) = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?;
-    let mut program = exec
-        .with_tiers(tiers.to_vec(), tier_of.to_vec())
-        .program()
-        .clone();
-    program.place_fetches(key_bytes);
+    let exec = lower_priced(plan, boundaries, usize::MAX, n_layers, key_bytes)?
+        .with_tiers(tiers.to_vec(), tier_of.to_vec());
+    let mut program = exec.program().clone();
+    program.place_fetches(exec.ranges(), key_bytes);
     let n = plan.n_blocks;
 
     // Compute timeline. Forward step b retires at the forward prefix sum;
@@ -829,8 +827,8 @@ pub fn expected_swap_timing(
             _ => continue,
         };
         let issue = step_instant + shift;
-        let (tier, lane) = (t.tier, t.lane(lanes));
-        let bytes: usize = key_bytes[t.keys.clone()].iter().sum();
+        let (tier, lane) = (t.tier, crate::exec::lane(t, lanes));
+        let bytes: usize = key_bytes[t.keys(exec.ranges()[t.block])].iter().sum();
         let service = alpha
             + beta * (bytes * tiers[tier].copy_passes) as f64
             + tiers[tier].link_time(bytes).as_secs_f64();
@@ -846,7 +844,7 @@ pub fn expected_swap_timing(
         busy.push(service);
         in_flight.push((transfers.len(), t.deadline));
         transfers.push(SwapTransfer {
-            event: t.event,
+            event: t.event(),
             block: t.block,
             step: t.step,
             tier,
@@ -937,8 +935,9 @@ impl ResidencyReplay {
     pub fn of(exec: &OocExecutor, key_bytes: &[usize]) -> Result<Self, BridgeError> {
         let n_layers = exec.n_layers();
         check_key_bytes(key_bytes, n_layers)?;
+        let ranges = exec.ranges();
         let mut program = exec.program().clone();
-        program.place_fetches(key_bytes);
+        program.place_fetches(ranges, key_bytes);
         let inline = exec.io_lanes() == 0;
         let mut cur = key_bytes[0]; // the input batch
         let mut peak = cur;
@@ -947,21 +946,21 @@ impl ResidencyReplay {
         // Issued fetches not yet waited: (tier, bytes, deadline step).
         let mut in_flight: Vec<(usize, usize, Option<usize>)> = Vec::new();
         let mut samples = Vec::with_capacity(program.ops.len());
-        let moved = |t: &Transfer| -> usize { key_bytes[t.keys.clone()].iter().sum() };
+        let moved = |t: &Transfer| -> usize { key_bytes[t.keys(ranges[t.block])].iter().sum() };
         for op in &program.ops {
-            let (high, after) = program.near_step(op, cur, key_bytes);
+            let (high, after) = program.near_step(op, cur, ranges, key_bytes);
             (cur, peak) = (after, peak.max(high));
             let event = match op {
                 Op::Forward(b) => Some((ExecEvent::Forward, *b)),
                 Op::Out(t) => {
                     far[t.tier] += moved(t);
                     peak_tier[t.tier] = peak_tier[t.tier].max(far[t.tier]);
-                    Some((t.event, t.block))
+                    Some((t.event(), t.block))
                 }
                 Op::Loss => None,
                 Op::In(t) => {
                     in_flight.push((t.tier, moved(t), t.deadline));
-                    Some((t.event, t.block))
+                    Some((t.event(), t.block))
                 }
                 // The deadline wait discharges the source tier before the
                 // step's compute samples (no sample of its own: the engine
@@ -1063,7 +1062,13 @@ mod tests {
         assert_eq!(stats.swap_in_ops, p.count(OpKind::SwapIn));
         assert_eq!(stats.recompute_ops, p.count(OpKind::Recompute));
         // The plan prefetches block 0 one step early (before B(1)).
-        assert_eq!(lower_to_runtime(&p).unwrap().prefetch_before[1], vec![0]);
+        let program = lower_to_runtime(&p).unwrap();
+        let fetched_at = |op: &Op| match op {
+            Op::In(t) => Some((t.block, t.step)),
+            _ => None,
+        };
+        let fetches: Vec<_> = program.ops.iter().filter_map(fetched_at).collect();
+        assert_eq!(fetches, [(0, 1)]);
     }
 
     #[test]
@@ -1438,10 +1443,25 @@ mod tests {
         let si = p.push(OpKind::SwapIn, 0, vec![so, b1]);
         p.push(OpKind::Backward, 0, vec![b1, si]);
         lower_plan(&p, &[0, 2, 4], usize::MAX / 2, 6).unwrap();
-        let sched = lower_to_runtime(&p).unwrap();
-        assert_eq!(sched.boundary_evict_blocks(), 1);
-        assert_eq!(sched.boundary_fetch_before, [vec![], vec![0], vec![]]);
-        assert_eq!(sched.prefetch_before, [vec![0], vec![], vec![]]);
+        let program = lower_to_runtime(&p).unwrap();
+        let moves: Vec<_> = program
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Out(t) | Op::In(t) => Some((t.event(), t.block, t.step)),
+                _ => None,
+            })
+            .collect();
+        use ExecEvent::{BoundaryIn, BoundaryOut, SwapIn, SwapOut};
+        assert_eq!(
+            moves,
+            [
+                (SwapOut, 0, 0),
+                (BoundaryOut, 0, 1),
+                (BoundaryIn, 0, 1),
+                (SwapIn, 0, 0)
+            ]
+        );
     }
 
     #[test]
@@ -1563,7 +1583,7 @@ mod tests {
 
     #[test]
     fn turnaround_round_trips_move_bytes_without_lowering_the_peak() {
-        use karma_core::bridge::BoundaryPolicy;
+        use crate::program::{fetch, out};
         // Over the `plan_net` grid, re-add the two round trips the planner
         // and the lowering leave out — the last block's interiors and,
         // when block n-2 swaps, its boundary (the last block's input),
@@ -1584,27 +1604,42 @@ mod tests {
                 let n = exec.n_blocks();
                 let last = n - 1;
                 assert_eq!(exec.policies()[last], BlockPolicy::Resident, "{cell}");
-                let (start, end) = exec.block_range(last);
+                let (start, end) = exec.ranges()[last];
                 let mut trip_bytes: usize = key_bytes[start + 1..end].iter().sum();
-                let mut sched = lower_to_runtime(&planned.plan).expect(&cell);
-                sched.policies[last] = BlockPolicy::Swap;
-                sched.evict_after[last].push(last);
-                sched.prefetch_before[last].insert(0, last);
-                if n >= 2 && sched.policies[n - 2] == BlockPolicy::Swap {
-                    assert_eq!(
-                        sched.boundary[n - 2],
-                        BoundaryPolicy::Resident,
+                // The last block's interiors leave after the step's other
+                // swap-outs and return first at the turnaround.
+                let mut program = lower_to_runtime(&planned.plan).expect(&cell);
+                program.policies[last] = BlockPolicy::Swap;
+                let loss = program.ops.iter().position(|op| *op == Op::Loss).unwrap();
+                program
+                    .ops
+                    .insert(loss + 1, Op::In(fetch(last, last, true, false)));
+                program
+                    .ops
+                    .insert(loss, Op::Out(out(last, last, true, false)));
+                if n >= 2 && program.policies[n - 2] == BlockPolicy::Swap {
+                    let carries_input = |op: &Op| matches!(op, Op::Out(t) | Op::In(t) if t.block == n - 2 && t.boundary);
+                    assert!(
+                        !program.ops.iter().any(carries_input),
                         "{cell}: the last block's input stays"
                     );
-                    sched.boundary[n - 2] = BoundaryPolicy::Evict;
-                    sched.boundary_evict_after[last].insert(0, n - 2);
-                    sched.boundary_fetch_before[last].insert(0, n - 2);
+                    // Its input leaves alone right after F(n-1) and
+                    // returns first at the turnaround.
+                    let loss = program.ops.iter().position(|op| *op == Op::Loss).unwrap();
+                    program
+                        .ops
+                        .insert(loss + 1, Op::In(fetch(n - 2, last, false, true)));
+                    let f_last = program.ops.iter().position(|op| *op == Op::Forward(last));
+                    let after_forward = f_last.unwrap() + 1;
+                    program
+                        .ops
+                        .insert(after_forward, Op::Out(out(n - 2, last, false, true)));
                     trip_bytes += key_bytes[start];
                     input_trips += 1;
                 }
-                let trips = OocExecutor::from_schedule(
+                let trips = OocExecutor::from_program(
                     exec.boundaries().to_vec(),
-                    &sched,
+                    program,
                     replay.peak_bytes,
                     exec.n_layers(),
                 )

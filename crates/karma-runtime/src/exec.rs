@@ -1,6 +1,6 @@
 //! The out-of-core executor: real training steps under a near-memory budget.
 
-use karma_core::bridge::{BoundaryPolicy, RuntimeSchedule};
+use karma_core::program::{block_ranges, Op, Transfer, TransferProgram};
 use karma_tensor::layers::ParamGrads;
 use karma_tensor::{Gradients, Sequential, Tensor};
 use rayon::io::{IoHandle, IoLanePool};
@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::program::{Op, Transfer, TransferProgram};
 use crate::store::{priced_transfer, NearMemory, SlotStore, TierSpec, TierStack};
 
 /// Per-block activation policy: the planner's swap / recompute /
@@ -88,31 +87,10 @@ impl PartialEq for OocStats {
     }
 }
 
-/// Block-level event kinds the executor emits while tracing residency —
-/// the executed analogues of the plan IR's compute/transfer ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecEvent {
-    /// A block's forward pass completed (interiors already dropped for
-    /// recompute-policy blocks).
-    Forward,
-    /// A block's interior activations moved to far memory.
-    SwapOut,
-    /// A block's interior activations returned to near memory.
-    SwapIn,
-    /// A block re-forwarded its interior from the boundary checkpoint.
-    Recompute,
-    /// A block's backward pass completed (its activations are released).
-    Backward,
-    /// The deferred boundary tail of a block's swap-out drained: the
-    /// boundary activation left near memory once the consumer's forward
-    /// had read it. (When the swap-out itself is scheduled at or after
-    /// the consumer's forward, the boundary rides the
-    /// [`ExecEvent::SwapOut`] and no separate event is emitted.)
-    BoundaryOut,
-    /// A block's boundary activation returned to near memory apart from
-    /// its interior swap-in.
-    BoundaryIn,
-}
+/// Block-level event kinds the executor emits while tracing residency:
+/// the executed analogues of the plan IR's compute/transfer ops, named
+/// by the lowered program's ops.
+pub use karma_core::program::ExecEvent;
 
 /// Near- and far-memory residency sampled immediately after a
 /// block-level event.
@@ -130,6 +108,13 @@ pub struct ResidencySample {
     pub far_bytes: Vec<usize>,
 }
 
+/// The I/O lane transfer `t` runs on among `lanes`: `block % lanes`, so a
+/// block's swap-out and swap-in share a FIFO lane and the swap-out lands
+/// first. Lane 0 when transfers run inline (`lanes = 0`).
+pub(crate) fn lane(t: &Transfer, lanes: usize) -> usize {
+    t.block % lanes.max(1)
+}
+
 /// A submitted transfer job and its busy time: run inline on the compute
 /// thread at submit (no I/O lanes), or queued on an I/O lane.
 enum Job {
@@ -138,7 +123,7 @@ enum Job {
 }
 
 impl Job {
-    /// Run `work` on `pool`'s lane for transfer `t` ([`Transfer::lane`]),
+    /// Run `work` on `pool`'s lane for transfer `t` ([`lane`]),
     /// or inline right now without a pool. `work` returns the tensors a
     /// fetch brings back (none for a swap-out).
     fn submit(
@@ -152,7 +137,7 @@ impl Job {
             (group, t0.elapsed())
         };
         match pool {
-            Some(pool) => Job::Lane(pool.submit(t.lane(pool.lanes()), timed)),
+            Some(pool) => Job::Lane(pool.submit(lane(t, pool.lanes()), timed)),
             None => {
                 let (group, busy) = timed();
                 Job::Inline(group, busy)
@@ -195,14 +180,14 @@ impl Flight {
 /// Runs real training steps with per-block out-of-core policies.
 ///
 /// Block `b` covers layers `[boundaries[b], boundaries[b+1])`. The
-/// executor holds its schedule in one form: a transfer program lowered
-/// once, when it is built, and interpreted every step. The bridge's
-/// [`crate::bridge::lower_plan`] lowers a plan's schedule, in which a
-/// swap-policy block's boundary activation (its final output — the next
-/// block's input, and the checkpoint recompute restarts from) leaves
-/// with the block once the consumer block's forward has read it, and
-/// returns before the consumer's backward. [`OocExecutor::new`] lowers
-/// the just-in-time schedule, which keeps every boundary in near memory.
+/// executor holds its schedule in one form: the `karma-core` transfer
+/// program, interpreted every step. The bridge's
+/// [`crate::bridge::lower_plan`] runs the program a plan lowers to, in
+/// which a swap-policy block's boundary activation (its final output —
+/// the next block's input, and the checkpoint recompute restarts from)
+/// leaves with the block once the consumer block's forward has read it,
+/// and returns before the consumer's backward. [`OocExecutor::new`] runs
+/// the just-in-time program, which keeps every boundary in near memory.
 /// The final logits and recompute checkpoints always stay. Weights stay
 /// resident (single-GPU KARMA semantics; the distributed pipeline
 /// streams weights, which is modelled in `karma-dist` and exercised here
@@ -212,6 +197,9 @@ pub struct OocExecutor {
     boundaries: Vec<usize>,
     budget: usize,
     n_layers: usize,
+    /// Block `b`'s layers `[start, end)`: the ranges the program's
+    /// transfers and its residency fold derive their keys from.
+    ranges: Vec<(usize, usize)>,
     /// The step as a transfer program: block policies, evictions,
     /// fetches at their latest issue steps, boundary departures and
     /// returns, each transfer on its block's tier. Each step places a
@@ -250,39 +238,28 @@ impl OocExecutor {
             "boundaries must start at 0, increase and stay below the layer count"
         );
         assert_eq!(boundaries.len(), policy.len(), "one policy per block");
-        let nb = boundaries.len();
-        let swaps = |b: usize| policy[b] == BlockPolicy::Swap;
-        let jit: Vec<Vec<usize>> = (0..nb)
-            .map(|b| if swaps(b) { vec![b] } else { Vec::new() })
-            .collect();
-        let sched = RuntimeSchedule {
-            evict_after: jit.clone(),
-            prefetch_before: jit,
-            boundary: vec![BoundaryPolicy::Resident; nb],
-            boundary_evict_after: vec![Vec::new(); nb],
-            boundary_fetch_before: vec![Vec::new(); nb],
-            dist: None,
-            policies: policy,
-        };
-        OocExecutor::from_schedule(boundaries, &sched, budget, n_layers)
+        let program = TransferProgram::just_in_time(policy);
+        OocExecutor::from_program(boundaries, program, budget, n_layers)
     }
 
-    /// The executor of `sched` over `boundaries`: its transfer program,
-    /// lowered here once, on one unbounded far tier and inline
-    /// transfers. The one constructor; the schedule is taken as checked
-    /// (`lower_to_runtime` answers an unrealizable plan with a typed
-    /// error, and `new` builds its default from checked policies).
-    pub(crate) fn from_schedule(
+    /// The executor running `program` over `boundaries`, on one unbounded
+    /// far tier and inline transfers. The one constructor; the program is
+    /// taken as checked (`lower_to_runtime` answers an unrealizable plan
+    /// with a typed error, and `new` builds its default from checked
+    /// policies). The executor runs no gradient exchange, so it keeps no
+    /// `dist`.
+    pub(crate) fn from_program(
         boundaries: Vec<usize>,
-        sched: &RuntimeSchedule,
+        mut program: TransferProgram,
         budget: usize,
         n_layers: usize,
     ) -> Self {
         let nb = boundaries.len();
-        let ends = boundaries.iter().skip(1).copied().chain([n_layers]);
-        let ranges = boundaries.iter().copied().zip(ends).collect();
+        let ranges = block_ranges(&boundaries, n_layers);
+        program.dist = None;
         OocExecutor {
-            program: TransferProgram::lower(sched, ranges),
+            program,
+            ranges,
             boundaries,
             budget,
             n_layers,
@@ -335,7 +312,11 @@ impl OocExecutor {
         for (b, &t) in tier_of.iter().enumerate() {
             assert!(t < tiers.len(), "block {b} routed to missing tier {t}");
         }
-        self.program.route(&tier_of);
+        for op in &mut self.program.ops {
+            if let Op::Out(t) | Op::In(t) = op {
+                t.tier = tier_of[t.block];
+            }
+        }
         self.tiers = tiers;
         self.tier_of = tier_of;
         self
@@ -359,7 +340,7 @@ impl OocExecutor {
 
     /// Block policies.
     pub fn policies(&self) -> &[BlockPolicy] {
-        self.program.policies()
+        &self.program.policies
     }
 
     /// Block boundaries (start layer of each block).
@@ -381,8 +362,9 @@ impl OocExecutor {
         self.n_layers
     }
 
-    pub(crate) fn block_range(&self, b: usize) -> (usize, usize) {
-        self.program.range(b)
+    /// Every block's layers `[start, end)`.
+    pub(crate) fn ranges(&self) -> &[(usize, usize)] {
+        &self.ranges
     }
 
     /// The transfer program the executor interprets. Interpreters place
@@ -442,7 +424,7 @@ impl OocExecutor {
     /// the forward sweep recorded. Every transfer is
     /// charged at its issue point — near memory reserved,
     /// the far tier charged — and its priced copy submitted to the
-    /// backend: the transfer's I/O lane ([`Transfer::lane`]), or inline
+    /// backend: the transfer's I/O lane ([`lane`]), or inline
     /// on the compute thread without lanes. Same-lane FIFO order (and
     /// inline program order) lands a block's swap-out in the
     /// [`SlotStore`] before its swap-in takes it. The backend decides
@@ -484,13 +466,13 @@ impl OocExecutor {
             pc += 1;
             let event = match op {
                 Op::Forward(b) => {
-                    let (start, end) = program.range(b);
+                    let (start, end) = self.ranges[b];
                     for i in start..end {
                         let y = net.layers[i].forward(near.get(i));
                         key_bytes[i + 1] = y.bytes();
                         near.put(i + 1, y);
                     }
-                    if program.recomputes(b) {
+                    if program.policies[b] == BlockPolicy::Recompute {
                         for i in start + 1..end {
                             drop(near.take(i));
                         }
@@ -500,8 +482,7 @@ impl OocExecutor {
                 Op::Out(ref t) => {
                     let tier = t.tier;
                     let group: Vec<(usize, Tensor)> = t
-                        .keys
-                        .clone()
+                        .keys(self.ranges[t.block])
                         .map(|key| {
                             let tensor = near.take(key);
                             far.charge_out(tier, key, tensor.bytes());
@@ -509,7 +490,7 @@ impl OocExecutor {
                             (key, tensor)
                         })
                         .collect();
-                    stats.swap_out_ops += usize::from(t.event == ExecEvent::SwapOut);
+                    stats.swap_out_ops += usize::from(t.interior);
                     stats.boundary_out_ops += usize::from(t.boundary);
                     let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
                     let job = Job::submit(pool, t, move || {
@@ -523,26 +504,25 @@ impl OocExecutor {
                         tier,
                         deadline: t.deadline,
                     });
-                    Some((t.event, t.block))
+                    Some((t.event(), t.block))
                 }
                 Op::Loss => {
                     let logits = near.take(self.n_layers);
                     let (l, grad) = Sequential::softmax_xent(&logits, labels);
                     (loss, dy) = (l, Some(grad));
-                    program.place_fetches(&key_bytes);
+                    program.place_fetches(&self.ranges, &key_bytes);
                     None
                 }
                 Op::In(ref t) => {
-                    let tier = t.tier;
-                    for key in t.keys.clone() {
+                    let (tier, keys) = (t.tier, t.keys(self.ranges[t.block]));
+                    for key in keys.clone() {
                         let bytes = far.charged(tier, key);
                         stats.swapped_in_bytes += bytes;
                         near.reserve(key, bytes);
                     }
-                    stats.swap_in_ops += usize::from(t.event == ExecEvent::SwapIn);
+                    stats.swap_in_ops += usize::from(t.interior);
                     stats.boundary_in_ops += usize::from(t.boundary);
                     let (spec, slots) = (far.spec(tier), Arc::clone(&slots));
-                    let keys = t.keys.clone();
                     let job = Job::submit(pool, t, move || {
                         keys.map(|key| (key, priced_transfer(slots.take(tier, key), &spec)))
                             .collect()
@@ -552,7 +532,7 @@ impl OocExecutor {
                         tier,
                         deadline: t.deadline,
                     });
-                    Some((t.event, t.block))
+                    Some((t.event(), t.block))
                 }
                 Op::Await(b) => {
                     let (due, later): (Vec<Flight>, Vec<Flight>) = std::mem::take(&mut in_flight)
@@ -565,7 +545,7 @@ impl OocExecutor {
                     None
                 }
                 Op::Recompute(b) => {
-                    let (start, end) = program.range(b);
+                    let (start, end) = self.ranges[b];
                     for i in start..end - 1 {
                         let y = net.layers[i].forward(near.get(i));
                         near.put(i + 1, y);
@@ -575,7 +555,7 @@ impl OocExecutor {
                     Some((ExecEvent::Recompute, b))
                 }
                 Op::Backward(b) => {
-                    let (start, end) = program.range(b);
+                    let (start, end) = self.ranges[b];
                     for i in (start..end).rev() {
                         let upstream = dy.as_ref().expect("the loss precedes every backward");
                         let (dx, g) = net.layers[i].backward(near.get(i), upstream);
@@ -623,7 +603,9 @@ impl OocExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{hand_scheduled, two_tier_boundary_evicting_executor};
+    use crate::program::{
+        boundary_evicting_transfers, fetch, hand_built, out, two_tier_boundary_evicting_executor,
+    };
     use karma_tensor::{small_cnn, SyntheticDataset};
 
     fn setup() -> (Sequential, Tensor, Vec<usize>) {
@@ -823,14 +805,17 @@ mod tests {
             usize::MAX / 2,
             net.len(),
         );
-        let sched = hand_scheduled(
+        let sched = hand_built(
             vec![0, 2, 4, 6],
             jit.policies().to_vec(),
             net.len(),
-            vec![vec![], vec![0, 1], vec![], vec![]], // both evictions after F(1)
-            vec![vec![], vec![], vec![], vec![1, 0]], // both fetches before B(3)
-            vec![vec![]; 4],
-            vec![vec![]; 4],
+            &[
+                // Both evictions after F(1), both fetches before B(3).
+                out(0, 1, true, false),
+                out(1, 1, true, false),
+                fetch(1, 3, true, false),
+                fetch(0, 3, true, false),
+            ],
         );
         let (_, _, s_jit) = jit.grad_step(&net, &x, &y, |_, _| {});
         let (_, _, s_sched) = sched.grad_step(&net, &x, &y, |_, _| {});
@@ -885,22 +870,21 @@ mod tests {
         let data = SyntheticDataset::classification(32, 1, 16, 4, 21);
         let (x, y) = data.batch(0, 16);
         let mut net = conv_stack(6, 4, 11);
-        let scheduled = |b_out: Vec<Vec<usize>>, b_in: Vec<Vec<usize>>| {
-            hand_scheduled(
+        let scheduled = |transfers: &[Transfer]| {
+            hand_built(
                 vec![0, 3, 6],
                 vec![BlockPolicy::Swap, BlockPolicy::Swap, BlockPolicy::Resident],
                 net.len(),
-                vec![vec![0], vec![1], vec![]],
-                vec![vec![], vec![0], vec![1]],
-                b_out,
-                b_in,
+                transfers,
             )
         };
-        let base = scheduled(vec![vec![]; 3], vec![vec![]; 3]);
-        let evicting = scheduled(
-            vec![vec![], vec![0], vec![1]],
-            vec![vec![], vec![0], vec![1]],
-        );
+        let base = scheduled(&[
+            out(0, 0, true, false),
+            out(1, 1, true, false),
+            fetch(1, 2, true, false),
+            fetch(0, 1, true, false),
+        ]);
+        let evicting = scheduled(&boundary_evicting_transfers());
         let (loss_b, _, s_base) = base.grad_step(&net, &x, &y, |_, _| {});
         let (loss_e, _, s_ev, trace) = evicting.grad_step_traced(&net, &x, &y, |_, _| {});
         assert_eq!(loss_b, loss_e, "boundary eviction moved arithmetic");
@@ -973,7 +957,7 @@ mod tests {
         // Boundary scheduled back a step earlier than the interior: a
         // separate BoundaryIn event, still bitwise-identical training.
         let (mut net, x, y) = setup();
-        let exec = hand_scheduled(
+        let exec = hand_built(
             vec![0, 3, 6],
             vec![
                 BlockPolicy::Swap,
@@ -981,10 +965,12 @@ mod tests {
                 BlockPolicy::Resident,
             ],
             net.len(),
-            vec![vec![0], vec![], vec![]],
-            vec![vec![], vec![0], vec![]],
-            vec![vec![], vec![0], vec![]],
-            vec![vec![], vec![], vec![0]],
+            &[
+                out(0, 0, true, false),
+                out(0, 1, false, true),
+                fetch(0, 2, false, true),
+                fetch(0, 1, true, false),
+            ],
         );
         let (_, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
         assert_eq!(stats.boundary_in_ops, 1);

@@ -9,8 +9,8 @@
 //!   movement is accounted (bytes, transfer counts, peak usage);
 //! * [`exec::OocExecutor`] — runs a real `karma-tensor` training step under
 //!   a hard near-memory budget, with the planner's per-block policies
-//!   (resident / swap / recompute) and schedule, lowered once into the
-//!   step-ordered transfer program it holds and one swap engine
+//!   (resident / swap / recompute) and schedule, as the step-ordered
+//!   transfer program `karma-core`'s lowering emits, which one swap engine
 //!   interprets (inline, or on I/O lanes). Because layers are pure functions over
 //!   explicitly saved inputs, the executed arithmetic is
 //!   **bit-identical** to in-core training — the property the paper's
@@ -25,8 +25,8 @@
 //! * [`bridge`] — the executable planning pipeline and the plan→runtime
 //!   lowering: [`bridge::plan_net`] profiles, searches and plans a model
 //!   for its executable net, and a validated `karma-core` `Plan` becomes
-//!   an [`exec::OocExecutor`] holding its schedule (policies, eviction
-//!   order, prefetch steps, boundary trips) plus, for distributed plans, the
+//!   an [`exec::OocExecutor`] holding its transfer program (policies,
+//!   eviction order, prefetch steps, boundary trips) plus, for distributed plans, the
 //!   [`dp::ExchangeSchedule`] its `AR`/`U` ops prescribe — with residency
 //!   and exchange replays predicting the executed trajectory, message
 //!   count, and shipped bytes exactly (the residency replay,
@@ -43,7 +43,8 @@
 //! [`dp`]) use none of the analysis stack's models, so parity results
 //! cannot be contaminated by the models they validate: [`exec`] takes
 //! only `karma-core`'s plain-data lowering output (the
-//! `RuntimeSchedule`, whose per-block policy is [`BlockPolicy`]). Only
+//! `TransferProgram` that `lower_to_runtime` emits, whose per-block
+//! policy is [`BlockPolicy`] and whose events are [`ExecEvent`]). Only
 //! [`bridge`] links the analysis crates (`karma-core`, `karma-sim`,
 //! `karma-graph`, `karma-hw`): it runs the profile → search → plan
 //! pipeline ([`bridge::plan_net`]) and consumes the plans it yields.
@@ -52,7 +53,6 @@ pub mod bridge;
 pub mod dp;
 pub mod elastic;
 pub mod exec;
-mod program;
 pub mod store;
 
 pub use bridge::{
@@ -70,3 +70,6 @@ pub use elastic::{
 };
 pub use exec::{BlockPolicy, ExecEvent, OocExecutor, OocStats, ResidencySample};
 pub use store::{NearMemory, SlotStore, TierSpec, TierStack};
+
+#[cfg(test)]
+mod program;

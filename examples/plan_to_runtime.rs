@@ -8,6 +8,7 @@
 use karma::core::lower_to_runtime;
 use karma::core::opt::OptConfig;
 use karma::core::plan::OpKind;
+use karma::core::program::Op;
 use karma::graph::MemoryParams;
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::plan_net;
@@ -38,12 +39,24 @@ fn main() {
     // Bridge: lower the plan onto the out-of-core executor and size the
     // near-memory budget from the plan's own residency replay.
     let (exec, replay) = cp.lower(&net, &x).expect("plan lowers to the executor");
-    let sched = lower_to_runtime(&cp.plan).expect("plan lowers to a runtime schedule");
+    let program = lower_to_runtime(&cp.plan).expect("plan lowers to a transfer program");
+    // Each fetch as (block, latest issue step), boundary-only returns
+    // marked: the executor issues them as early as the replayed peak
+    // allows.
+    let fetches: Vec<String> = program
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::In(t) if t.interior => Some(format!("{}@{}", t.block, t.step)),
+            Op::In(t) => Some(format!("{}b@{}", t.block, t.step)),
+            _ => None,
+        })
+        .collect();
     println!(
-        "executor  : {} blocks, budget {} B, latest prefetch steps {:?}",
+        "executor  : {} blocks, budget {} B, fetches at their latest steps [{}]",
         exec.n_blocks(),
         replay.peak_bytes,
-        sched.prefetch_before
+        fetches.join(" ")
     );
 
     // A real training step under the plan's schedule.
@@ -57,7 +70,8 @@ fn main() {
     // evicted its boundary activation (and fetched it back before the
     // block above's backward), so the executed peak is exactly the
     // replay's — the cost model's capacity promise, kept at runtime.
-    let evictions = sched.boundary_evict_blocks();
+    let departs = |op: &Op| matches!(op, Op::Out(t) if t.boundary);
+    let evictions = program.ops.iter().filter(|op| departs(op)).count();
     assert_eq!(stats.boundary_out_ops, evictions);
     assert_eq!(stats.boundary_in_ops, evictions);
     assert_eq!(stats.peak_near_bytes, replay.peak_bytes);

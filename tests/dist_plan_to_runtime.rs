@@ -25,6 +25,7 @@
 use karma::core::lower_to_runtime;
 use karma::core::opt::OptConfig;
 use karma::core::plan::Plan;
+use karma::core::program::Op;
 use karma::dist::append_exchange_ops;
 use karma::graph::MemoryParams;
 use karma::hw::{ClusterSpec, GpuSpec, LinkSpec, NodeSpec};
@@ -112,7 +113,9 @@ fn distributed_plan_lowers_and_executes_end_to_end() {
     let (_, _, stats0, traj0) = exec.grad_step_traced(&net, &x0, &y0, |_, _| {});
     assert_eq!(traj0, replay.samples, "per-worker residency != replay");
     assert_eq!(stats0.peak_near_bytes, replay.peak_bytes);
-    let evicting = lower_to_runtime(&plan).unwrap().boundary_evict_blocks();
+    let program = lower_to_runtime(&plan).unwrap();
+    let departs = |op: &&Op| matches!(op, Op::Out(t) if t.boundary);
+    let evicting = program.ops.iter().filter(departs).count();
     assert_eq!(stats0.boundary_out_ops, evicting);
     if stats0.swap_out_ops > 0 {
         assert!(evicting > 0, "swaps without boundary eviction");

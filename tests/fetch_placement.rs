@@ -7,8 +7,8 @@
 //! 2 I/O lanes:
 //!
 //! * **no higher peak** — the placed replay's peak equals the peak of
-//!   the schedule as written (every fetch at the step it names), folded
-//!   here from `lower_to_runtime`'s schedule lists;
+//!   the program as lowered (every fetch at the step it names), folded
+//!   here from the transfers of `lower_to_runtime`'s unplaced program;
 //! * **replay exactness** — the executed trace equals
 //!   `ResidencyReplay::of` sample for sample, and the executed peak its
 //!   peak, under a budget of exactly that peak;
@@ -20,7 +20,8 @@
 use karma::core::capacity::{build_training_plan, CapacityPlanOptions, PrefetchPolicy};
 use karma::core::cost::LayerCostTable;
 use karma::core::lower::{simulate_plan, LowerOptions};
-use karma::core::{lower_to_runtime, RuntimeSchedule};
+use karma::core::program::Op;
+use karma::core::{lower_to_runtime, TransferProgram};
 use karma::graph::{BlockPartition, MemoryParams};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
@@ -38,43 +39,46 @@ fn setup() -> (Sequential, Tensor, Vec<usize>) {
     (conv_stack(6, 4, 11), x, y)
 }
 
-/// The near-memory peak of `exec` run on `sched` as written: every fetch
-/// at the step the schedule names, a boundary riding its block's transfer
-/// or moving alone at its own step (the order within a step does not
-/// move a peak).
-fn scheduled_peak(exec: &OocExecutor, sched: &RuntimeSchedule, key_bytes: &[usize]) -> usize {
+/// The near-memory peak of `exec` run on `program` as lowered: every
+/// fetch at the step it names, a boundary riding its block's transfer or
+/// moving alone at its own step (the order within a step does not move a
+/// peak), folded here independently of the program's own fold.
+fn scheduled_peak(exec: &OocExecutor, program: &TransferProgram, key_bytes: &[usize]) -> usize {
     let n_layers = key_bytes.len() - 1;
     let starts = exec.boundaries();
     let end = |b: usize| starts.get(b + 1).copied().unwrap_or(n_layers);
     let interior = |b: usize| -> usize { key_bytes[starts[b] + 1..end(b)].iter().sum() };
     let boundary = |b: usize| key_bytes[end(b)];
+    // Bytes leaving after each forward step and returning before each
+    // backward step.
+    let n = exec.n_blocks();
+    let (mut evicted, mut fetched) = (vec![0; n], vec![0; n]);
+    for op in &program.ops {
+        let (moved, t) = match op {
+            Op::Out(t) => (&mut evicted, t),
+            Op::In(t) => (&mut fetched, t),
+            _ => continue,
+        };
+        if t.interior {
+            moved[t.step] += interior(t.block);
+        }
+        if t.boundary {
+            moved[t.step] += boundary(t.block);
+        }
+    }
     let recomputes = |b: usize| exec.policies()[b] == BlockPolicy::Recompute;
     let (mut cur, mut peak) = (key_bytes[0], key_bytes[0]);
-    for b in 0..exec.n_blocks() {
+    for (b, gone) in evicted.iter().enumerate() {
         cur += interior(b) + boundary(b);
         peak = peak.max(cur);
         if recomputes(b) {
             cur -= interior(b);
         }
-        cur -= sched.evict_after[b]
-            .iter()
-            .map(|&e| interior(e))
-            .sum::<usize>();
-        cur -= sched.boundary_evict_after[b]
-            .iter()
-            .map(|&e| boundary(e))
-            .sum::<usize>();
+        cur -= gone;
     }
     cur -= key_bytes[n_layers];
-    for b in (0..exec.n_blocks()).rev() {
-        cur += sched.prefetch_before[b]
-            .iter()
-            .map(|&p| interior(p))
-            .sum::<usize>();
-        cur += sched.boundary_fetch_before[b]
-            .iter()
-            .map(|&p| boundary(p))
-            .sum::<usize>();
+    for b in (0..n).rev() {
+        cur += fetched[b];
         if recomputes(b) {
             cur += interior(b);
         }
@@ -150,8 +154,8 @@ proptest! {
         let replay = ResidencyReplay::of(&exec, &key_bytes).unwrap();
 
         // (a) Placement never raises the peak.
-        let sched = lower_to_runtime(&cp.plan).unwrap();
-        prop_assert_eq!(replay.peak_bytes, scheduled_peak(&exec, &sched, &key_bytes));
+        let program = lower_to_runtime(&cp.plan).unwrap();
+        prop_assert_eq!(replay.peak_bytes, scheduled_peak(&exec, &program, &key_bytes));
 
         // (b) Executed == replayed, at exactly the replayed budget.
         let (loss, _, stats, trace) = exec.grad_step_traced(&net, &x, &y, |_, _| {});
@@ -227,11 +231,13 @@ fn the_timing_model_orders_fetches_as_the_engine_issues_them() {
         let (modeled, executed) = fetch_orders(&timing, &trace);
         assert_eq!(modeled, executed, "lanes {lanes}");
         // Some fetch issues ahead of the step the schedule names.
-        let sched = lower_to_runtime(&planned.plan).unwrap();
+        let program = lower_to_runtime(&planned.plan).unwrap();
         let scheduled = |b: usize| {
-            (0..exec.n_blocks())
-                .find(|&j| sched.prefetch_before[j].contains(&b))
-                .unwrap()
+            let fetch = |op: &Op| match op {
+                Op::In(t) if t.block == b && t.interior => Some(t.step),
+                _ => None,
+            };
+            program.ops.iter().find_map(fetch).unwrap()
         };
         assert!(
             timing

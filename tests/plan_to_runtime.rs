@@ -27,7 +27,8 @@ use karma::core::cost::LayerCostTable;
 use karma::core::lower::{simulate_plan, LowerOptions};
 use karma::core::opt::{optimize_blocking, refine_recompute, OptConfig};
 use karma::core::plan::OpKind;
-use karma::core::{lower_to_runtime, LoweredPolicy, RuntimeSchedule};
+use karma::core::program::Op;
+use karma::core::{lower_to_runtime, LoweredPolicy, TransferProgram};
 use karma::graph::{MemoryParams, ModelGraph};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
 use karma::runtime::bridge::{
@@ -71,16 +72,25 @@ fn plan_conv_stack(link_bw: f64) -> NetPlan {
     plan_net(&graph, 16, &node, &cfg).expect("the conv stack plans")
 }
 
-/// The near-memory peak of `sched` over a net cut at `bounds` with every
-/// boundary pinned resident: the schedule as written (each fetch at the
-/// step it names) with its boundary lists left out, folded here
-/// independently of the runtime.
-fn pinned_boundary_peak(sched: &RuntimeSchedule, bounds: &[usize], key_bytes: &[usize]) -> usize {
+/// The near-memory peak of `program` over a net cut at `bounds` with
+/// every boundary pinned resident: the program as lowered (each fetch at
+/// the step it names) with its boundary moves left out, folded here
+/// independently of the runtime and of the program's own fold.
+fn pinned_boundary_peak(program: &TransferProgram, bounds: &[usize], key_bytes: &[usize]) -> usize {
     let n_layers = key_bytes.len() - 1;
     let end = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers);
     let interior = |b: usize| -> usize { key_bytes[bounds[b] + 1..end(b)].iter().sum() };
-    let interiors = |blocks: &[usize]| -> usize { blocks.iter().map(|&b| interior(b)).sum() };
-    let recomputes = |b: usize| sched.policies[b] == LoweredPolicy::Recompute;
+    // Interior bytes leaving after each forward step and returning
+    // before each backward step.
+    let (mut evicted, mut fetched) = (vec![0; bounds.len()], vec![0; bounds.len()]);
+    for op in &program.ops {
+        match op {
+            Op::Out(t) if t.interior => evicted[t.step] += interior(t.block),
+            Op::In(t) if t.interior => fetched[t.step] += interior(t.block),
+            _ => {}
+        }
+    }
+    let recomputes = |b: usize| program.policies[b] == LoweredPolicy::Recompute;
     let (mut cur, mut peak) = (key_bytes[0], key_bytes[0]);
     for b in 0..bounds.len() {
         cur += interior(b) + key_bytes[end(b)];
@@ -88,11 +98,11 @@ fn pinned_boundary_peak(sched: &RuntimeSchedule, bounds: &[usize], key_bytes: &[
         if recomputes(b) {
             cur -= interior(b);
         }
-        cur -= interiors(&sched.evict_after[b]);
+        cur -= evicted[b];
     }
     cur -= key_bytes[n_layers];
     for b in (0..bounds.len()).rev() {
-        cur += interiors(&sched.prefetch_before[b]);
+        cur += fetched[b];
         if recomputes(b) {
             cur += interior(b);
         }
@@ -171,15 +181,12 @@ fn planned_plan_executes_with_sim_matching_op_counts() {
         // over the real tensor sizes: one sample per plan op plus one per
         // deferred boundary departure or split return, equal bytes — zero model-vs-
         // execution gap, boundary eviction included.
-        let sched = lower_to_runtime(&cp.plan).unwrap();
-        let deferred_tails: usize = (0..sched.n_blocks())
-            .map(|j| {
-                sched.boundary_evict_after[j]
-                    .iter()
-                    .filter(|e| !sched.evict_after[j].contains(e))
-                    .count()
-            })
-            .sum();
+        let program = lower_to_runtime(&cp.plan).unwrap();
+        let deferred_tails = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::Out(t) if !t.interior))
+            .count();
         // A boundary returns apart from its block's swap-in when the
         // schedule names it at another step, or when fetch placement
         // issues the interiors earlier than the pair could go.
@@ -198,7 +205,11 @@ fn planned_plan_executes_with_sim_matching_op_counts() {
 
         // Every swapped block below the last evicts its boundary, and the
         // executed departures/returns match the schedule exactly.
-        let expect_evictions = sched.boundary_evict_blocks();
+        let expect_evictions = program
+            .ops
+            .iter()
+            .filter(|op| matches!(op, Op::Out(t) if t.boundary))
+            .count();
         assert_eq!(stats.boundary_out_ops, expect_evictions);
         assert_eq!(stats.boundary_in_ops, expect_evictions);
         if stats.swap_out_ops > 0 {
@@ -211,7 +222,7 @@ fn planned_plan_executes_with_sim_matching_op_counts() {
         // Executed peak strictly drops versus the same schedule with
         // boundaries pinned resident.
         if expect_evictions > 0 {
-            let pinned = pinned_boundary_peak(&sched, &net_bounds, &key_bytes);
+            let pinned = pinned_boundary_peak(&program, &net_bounds, &key_bytes);
             assert!(
                 stats.peak_near_bytes < pinned,
                 "link_bw {link_bw}: evicting {} !< resident-boundary {pinned}",
@@ -382,31 +393,31 @@ fn fig5_grid_plans_lower_with_sim_matching_op_counts() {
         let n = costs.n_blocks();
         for b in 0..n {
             let expect = sched.policies[b] == LoweredPolicy::Swap && b + 2 < n;
+            let departs = |op: &Op| matches!(op, Op::Out(t) if t.block == b && t.boundary);
             assert_eq!(
-                sched.boundary[b] == karma::core::BoundaryPolicy::Evict,
+                sched.ops.iter().any(departs),
                 expect,
                 "{} @ {batch}: block {b} boundary policy",
                 w.model.name
             );
         }
-        for (j, list) in sched.boundary_evict_after.iter().enumerate() {
-            assert!(
-                list.iter().all(|&e| j > e),
-                "{}: early departure",
-                w.model.name
-            );
-        }
-        for (j, list) in sched.boundary_fetch_before.iter().enumerate() {
-            for &p in list {
-                assert!(j > p, "{}: late return", w.model.name);
-                // The boundary rides its block's swap-in, or — when the
-                // capacity rule deferred that fetch to the block's own
-                // step — returns split, at the consumer's backward.
-                assert!(
-                    sched.prefetch_before[j].contains(&p) || j == p + 1,
-                    "{}: stray split return",
-                    w.model.name
-                );
+        for op in &sched.ops {
+            match op {
+                Op::Out(t) if t.boundary => {
+                    assert!(t.step > t.block, "{}: early departure", w.model.name)
+                }
+                Op::In(t) if t.boundary => {
+                    assert!(t.step > t.block, "{}: late return", w.model.name);
+                    // The boundary rides its block's swap-in, or — when the
+                    // capacity rule deferred that fetch to the block's own
+                    // step — returns split, at the consumer's backward.
+                    assert!(
+                        t.interior || t.step == t.block + 1,
+                        "{}: stray split return",
+                        w.model.name
+                    );
+                }
+                _ => {}
             }
         }
     }

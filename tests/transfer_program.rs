@@ -17,15 +17,16 @@
 //!   block, each issuing no later than the backward step of the plan's
 //!   next compute op and not before the fwd→bwd turnaround: fetch
 //!   placement may issue a fetch earlier, never later;
-//! * a boundary rides its block's swap-out exactly when the lowered
-//!   schedule names the block at its own eviction step, and departs on a
-//!   transfer of its own at its scheduled step otherwise. A returning
-//!   boundary rides its block's swap-in only when the schedule names
-//!   both at one step; placement may split that pair, and then the
+//! * a boundary rides its block's swap-out exactly when the lowered,
+//!   unplaced program moves it with the interiors, and departs on a
+//!   transfer of its own at its lowered step otherwise. A returning
+//!   boundary rides its block's swap-in only when the unplaced program
+//!   fetches both together; placement may split that pair, and then the
 //!   interiors issue earlier than the boundary.
 
 use karma::core::cost::BlockCosts;
 use karma::core::plan::{OpKind, Plan};
+use karma::core::program::{Op, Transfer};
 use karma::core::{lower_to_runtime, OptConfig};
 use karma::graph::{MemoryParams, ModelGraph};
 use karma::hw::{GpuSpec, LinkSpec, NodeSpec};
@@ -156,20 +157,41 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
         }
         swaps += plan_outs.len();
 
-        // Riding vs moving alone, against the lowered boundary schedule.
-        let sched = lower_to_runtime(&plan).unwrap();
+        // Riding vs moving alone, against the lowered, unplaced program.
+        let program = lower_to_runtime(&plan).unwrap();
         let interior = |b: usize| bounds.get(b + 1).copied().unwrap_or(n_layers) - bounds[b] - 1;
-        // The step a schedule list names block `b` at: a fetch's latest.
-        let named_at = |lists: &[Vec<usize>], b: usize| (0..n).find(|&j| lists[j].contains(&b));
+        // The unplaced program's transfers out (`out`) or in that move
+        // block `b`'s interiors (`part` false) or boundary (`part` true).
+        let lowered = |out: bool, part: bool| -> Vec<&Transfer> {
+            program
+                .ops
+                .iter()
+                .filter_map(|op| match op {
+                    Op::Out(t) if out => Some(t),
+                    Op::In(t) if !out => Some(t),
+                    _ => None,
+                })
+                .filter(|t| if part { t.boundary } else { t.interior })
+                .collect()
+        };
+        // The step the unplaced program moves that part of block `b` at:
+        // a fetch's latest.
+        let named_at = |out: bool, part: bool, b: usize| {
+            lowered(out, part)
+                .iter()
+                .find(|t| t.block == b)
+                .map(|t| t.step)
+        };
         let (mut carried_out, mut carried_in) = (Vec::new(), Vec::new());
         for t in &timing.transfers {
             match t.event {
                 ExecEvent::SwapOut => {
-                    assert!(
-                        sched.evict_after[t.step].contains(&t.block),
+                    assert_eq!(
+                        named_at(true, false, t.block),
+                        Some(t.step),
                         "{name}: {t:?}"
                     );
-                    let named = sched.boundary_evict_after[t.step].contains(&t.block);
+                    let named = named_at(true, true, t.block) == Some(t.step);
                     assert_eq!(t.bytes as usize, interior(t.block) + usize::from(named));
                     riding += usize::from(named);
                     if named {
@@ -178,8 +200,8 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
                 }
                 ExecEvent::BoundaryOut => {
                     assert!(
-                        sched.boundary_evict_after[t.step].contains(&t.block)
-                            && !sched.evict_after[t.step].contains(&t.block),
+                        named_at(true, true, t.block) == Some(t.step)
+                            && named_at(true, false, t.block) != Some(t.step),
                         "{name}: {t:?}"
                     );
                     assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
@@ -187,22 +209,21 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
                     carried_out.push((t.step, t.block));
                 }
                 ExecEvent::SwapIn => {
-                    let due = named_at(&sched.prefetch_before, t.block).expect("a scheduled Sin");
+                    let due = named_at(false, false, t.block).expect("a scheduled Sin");
                     let carries = t.bytes as usize - interior(t.block);
                     assert!(carries <= 1, "{name}: {t:?}");
                     if carries == 1 {
-                        let boundary_due = named_at(&sched.boundary_fetch_before, t.block);
+                        let boundary_due = named_at(false, true, t.block);
                         assert_eq!(boundary_due, Some(due), "{name}: {t:?} rides");
                         riding += 1;
                         carried_in.push((due, t.block));
                     }
                 }
                 ExecEvent::BoundaryIn => {
-                    let due = named_at(&sched.boundary_fetch_before, t.block)
-                        .expect("a scheduled boundary return");
+                    let due = named_at(false, true, t.block).expect("a scheduled boundary return");
                     assert!((due..n).contains(&t.step), "{name}: {t:?} after {due}");
                     assert_eq!(t.bytes, 1, "{name}: a lone boundary moves one key");
-                    if sched.prefetch_before[due].contains(&t.block) {
+                    if named_at(false, false, t.block) == Some(due) {
                         let sin = ins.iter().find(|s| s.block == t.block).unwrap();
                         assert!(sin.step > t.step, "{name}: {t:?} split without moving");
                     }
@@ -213,25 +234,18 @@ fn program_transfers_match_the_plan_ops_and_the_boundary_schedule() {
             }
         }
         // Every scheduled boundary move happens exactly once.
-        let scheduled = |lists: &[Vec<usize>]| -> Vec<(usize, usize)> {
-            let mut moves: Vec<_> = (0..n)
-                .flat_map(|j| lists[j].iter().map(move |&b| (j, b)))
+        let scheduled = |out: bool| -> Vec<(usize, usize)> {
+            let mut moves: Vec<_> = lowered(out, true)
+                .iter()
+                .map(|t| (t.step, t.block))
                 .collect();
             moves.sort_unstable();
             moves
         };
         carried_out.sort_unstable();
         carried_in.sort_unstable();
-        assert_eq!(
-            carried_out,
-            scheduled(&sched.boundary_evict_after),
-            "{name}"
-        );
-        assert_eq!(
-            carried_in,
-            scheduled(&sched.boundary_fetch_before),
-            "{name}"
-        );
+        assert_eq!(carried_out, scheduled(true), "{name}");
+        assert_eq!(carried_in, scheduled(false), "{name}");
     }
     // The grid exercises swaps, riding boundaries and lone ones.
     assert!(
