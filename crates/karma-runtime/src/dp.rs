@@ -15,7 +15,18 @@
 //! first is an in-place `axpy`. Each worker step still makes three
 //! copies: its block gradients into a staging list as each block finishes
 //! backward, the first contributor's payload into the group's slot, and
-//! the published average back out on [`ExchangeBuffers::install`].
+//! the published average back out on [`ExchangeBuffers::install`]. The
+//! last two copy into allocations already there (the slot's tensors from
+//! the previous step, the worker's own gradient tensors), so a steady-state
+//! step allocates nothing for them.
+//!
+//! Under [`train`] and [`train_with_buffers`] each worker is one compute
+//! device, as each replica has its own GPU in the paper's data-parallel
+//! mode: a step's `W` alive workers split the caller's `P` compute lanes,
+//! and each runs its whole step inside a `rayon::ThreadPool` of
+//! `max(1, P / W)` lanes, so its kernels never queue behind another
+//! worker's on the shared pool. The elastic driver keeps the shared pool
+//! instead, which lets a free lane take strips off a worker running slow.
 //!
 //! Folds are sequenced in ascending contributor-rank order per group (a
 //! worker whose turn has not come defers the fold to its end-of-step
@@ -287,8 +298,8 @@ impl ExchangeBuffers {
 
     /// Arm every slot for a new step: group `g` expects `expected[g]`
     /// contributions (the step's scheduled contributor count). Clears
-    /// arrival counts, publication flags, and timestamps; buffer
-    /// allocations are reused.
+    /// arrival counts, publication flags, and timestamps; the slot keeps
+    /// its tensors, and the next first fold copies into them.
     pub fn begin_step(&self, expected: &[usize]) {
         assert_eq!(expected.len(), self.groups.len(), "one count per group");
         for (gb, &exp) in self.groups.iter().zip(expected) {
@@ -322,8 +333,8 @@ impl ExchangeBuffers {
                 );
             }
             slot.bytes = bytes;
-            slot.grads.clear();
-            slot.grads.extend_from_slice(src);
+            slot.grads.resize_with(src.len(), ParamGrads::default);
+            slot.grads.clone_from_slice(src);
         } else {
             for (a, b) in slot.grads.iter_mut().zip(src) {
                 for (ta, tb) in a.grads.iter_mut().zip(&b.grads) {
@@ -381,7 +392,8 @@ impl ExchangeBuffers {
     }
 
     /// Wait for group `g`'s average to publish and copy it into `dst`
-    /// (the caller's own span of its gradient buffer).
+    /// (the caller's own span of its gradient buffer), into `dst`'s own
+    /// allocations when the shapes match.
     pub fn install(&self, g: usize, dst: &mut [ParamGrads]) {
         let mut slot = self.groups[g]
             .slot
@@ -675,7 +687,18 @@ pub fn train_with_buffers(
     data: &SyntheticDataset,
     cfg: &ChurnConfig,
 ) -> DataParallelReport {
-    let (report, dead) = train_churn(nets, exec, xchg, bufs, data, cfg, &FaultPlan::none());
+    let (report, dead) = train_churn(
+        nets,
+        exec,
+        xchg,
+        bufs,
+        data,
+        cfg,
+        Workers {
+            faults: &FaultPlan::none(),
+            lanes: Lanes::PerWorker,
+        },
+    );
     debug_assert!(dead.is_empty(), "empty fault plan killed a worker");
     report.dp
 }
@@ -683,6 +706,32 @@ pub fn train_with_buffers(
 /// One worker's step outcome: loss, executor stats, and the worker's
 /// backward-completion instant.
 type WorkerStep = (f32, OocStats, f64);
+
+/// How a step's workers take the `P` compute lanes the engine's caller
+/// runs at (`rayon::current_num_threads()`). Each worker thread runs its
+/// step inside a `rayon::ThreadPool` of the rule's width. Either way the
+/// arithmetic is the same bits: shim regions are order-preserving at any
+/// width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lanes {
+    /// One device per worker, as the plan prices it
+    /// (`ClusterSpec::abci(workers)` gives each replica its own GPU):
+    /// each of the step's `W` workers runs its whole step on
+    /// `max(1, P / W)` lanes — inline on its own thread when there are no
+    /// more lanes than workers — so its kernels never queue behind
+    /// another worker's.
+    PerWorker,
+    /// Every worker's kernels fan out into the one shared `P`-lane pool,
+    /// where a free lane takes strips off whichever worker is behind.
+    Shared,
+}
+
+/// What happens to one engine call's workers: the failures injected into
+/// them and how they take the compute lanes.
+pub(crate) struct Workers<'a> {
+    pub(crate) faults: &'a FaultPlan,
+    pub(crate) lanes: Lanes,
+}
 
 /// True when the replicas `nets[i]`, `i` in `idx`, hold the same
 /// parameters. Each other replica is compared with the first once; `f32`
@@ -698,27 +747,30 @@ fn replicas_identical(nets: &[Sequential], idx: &[usize]) -> bool {
 }
 
 /// The one data-parallel engine: the zero-copy phased exchange over the
-/// alive subset of `nets`, with mid-step failures injected from a static
-/// [`FaultPlan`] under its complete-or-abort rule. Workers fold group
-/// gradients in place into `bufs` under the ascending-rank sequencing
-/// rule (see [`ExchangeBuffers`]); no aggregator thread, no messages.
-/// Per step a worker copies its block gradients into a staging list, the
-/// first contributor to a group copies its payload into the slot, and
-/// each survivor copies the average out on install. A dying worker's
-/// shipped groups fold normally, its unshipped groups are simply never
-/// expected (the static contributor table sets each slot's count up
-/// front). Each surviving worker then applies the SGD update to its own
-/// replica on its own thread; a dying worker's replica is never updated.
-/// Replica identity is checked in place ([`Sequential::same_params`])
-/// once on entry and once on exit, each other alive replica against the
-/// first; the report's `final_snapshot` is the one full copy of the
-/// parameters a call makes.
+/// alive subset of `nets`, with mid-step failures injected from the
+/// static [`FaultPlan`] `faults` under its complete-or-abort rule. Workers
+/// fold group gradients in place into `bufs` under the ascending-rank
+/// sequencing rule (see [`ExchangeBuffers`]); no aggregator thread, no
+/// messages. Per step a worker copies its block gradients into a staging
+/// list, the first contributor to a group copies its payload into the
+/// slot, and each survivor copies the average out on install. `lanes`
+/// says how the workers take the compute lanes; the width is recomputed
+/// every step, because churn moves `W`. A dying worker's shipped groups
+/// fold normally, its unshipped groups are simply never expected (the
+/// static contributor table sets each slot's count up front). Each
+/// surviving worker then applies the SGD update to its own replica on its
+/// own thread; a dying worker's replica is never updated. Replica
+/// identity is checked in place ([`Sequential::same_params`]) once on
+/// entry and once on exit, each other alive replica against the first;
+/// the report's `final_snapshot` is the one full copy of the parameters a
+/// call makes.
 ///
-/// [`train_with_buffers`] runs it with an empty plan;
-/// [`crate::elastic::ElasticDriver::run`] injects its
-/// [`crate::elastic::PoolEvent::Fail`]s through it. Returns the report
-/// plus the indices of dead replicas (ascending) for the caller to drop;
-/// the sequential emulation of the same rule is [`train_churn_reference`].
+/// [`train_with_buffers`] runs it with an empty plan on
+/// [`Lanes::PerWorker`]; [`crate::elastic::ElasticDriver::run`] injects
+/// its [`crate::elastic::PoolEvent::Fail`]s through it on
+/// [`Lanes::Shared`]. Returns the report plus the indices of dead
+/// replicas (ascending) for the caller to drop; the sequential emulation
+/// of the same rule is [`train_churn_reference`].
 pub(crate) fn train_churn(
     nets: &mut [Sequential],
     exec: &OocExecutor,
@@ -726,7 +778,7 @@ pub(crate) fn train_churn(
     bufs: &ExchangeBuffers,
     data: &SyntheticDataset,
     cfg: &ChurnConfig,
-    faults: &FaultPlan,
+    Workers { faults, lanes }: Workers<'_>,
 ) -> (ChurnReport, Vec<usize>) {
     assert!(!nets.is_empty(), "need at least one worker");
     assert_eq!(
@@ -788,6 +840,9 @@ pub(crate) fn train_churn(
     let mut last_ready: Vec<f64> = Vec::new();
     let mut last_bwd_done = 0.0f64;
     let mut last_step_wall = 0.0f64;
+    // The workers' device and its width, rebuilt only when the width
+    // changes (the real crate spawns a pool's threads when it is built).
+    let mut device: Option<(usize, rayon::ThreadPool)> = None;
 
     for step in 0..cfg.steps {
         let workers = alive.len();
@@ -841,6 +896,22 @@ pub(crate) fn train_churn(
         let epoch = Instant::now();
 
         let mut step_results: Vec<Option<WorkerStep>> = (0..workers).map(|_| None).collect();
+        // Each worker thread runs its step inside a device of `width`
+        // lanes, out of the `P` the caller runs at. A device that fails
+        // to build leaves the workers at the process-global width.
+        let host = rayon::current_num_threads();
+        let width = match lanes {
+            Lanes::PerWorker => (host / workers).max(1),
+            Lanes::Shared => host,
+        };
+        if device.as_ref().is_none_or(|&(w, _)| w != width) {
+            device = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .ok()
+                .map(|pool| (width, pool));
+        }
+        let worker_device = device.as_ref().map(|(_, pool)| pool);
 
         // Each worker owns its replica for the step and updates it itself.
         let replicas = nets
@@ -854,7 +925,7 @@ pub(crate) fn train_churn(
                 let (xchg, boundaries) = (&xchg, &boundaries);
                 let my_pos = &pos_of[rank];
                 let my_death = death_after[rank];
-                scope.spawn(move || {
+                let mut step = move || {
                     let (x, y): (Tensor, Vec<usize>) = data.shard(start, per_worker, rank);
                     // Blocks finish backward in descending order, so a
                     // group's members arrive consecutively: stage them
@@ -904,6 +975,10 @@ pub(crate) fn train_churn(
                         net.apply(&grads, lr);
                     }
                     *result = Some((loss, stats, bwd_done));
+                };
+                scope.spawn(move || match worker_device {
+                    Some(pool) => pool.install(step),
+                    None => step(),
                 });
             }
         });
@@ -1261,6 +1336,164 @@ mod tests {
         assert_eq!(report.final_snapshot, plain.snapshot());
     }
 
+    /// An identity layer that records the compute width its forward
+    /// runs at.
+    struct LaneProbe(std::sync::Arc<Mutex<Vec<usize>>>);
+
+    impl karma_tensor::layers::Layer for LaneProbe {
+        fn forward(&self, x: &Tensor) -> Tensor {
+            self.0.lock().unwrap().push(rayon::current_num_threads());
+            x.clone()
+        }
+        fn backward(&self, _x: &Tensor, dy: &Tensor) -> (Tensor, ParamGrads) {
+            (dy.clone(), ParamGrads::default())
+        }
+        fn params(&self) -> Vec<&Tensor> {
+            Vec::new()
+        }
+        fn update(&mut self, _grads: &ParamGrads, _alpha: f32) {}
+        fn name(&self) -> &'static str {
+            "lane_probe"
+        }
+    }
+
+    fn probed(seen: &std::sync::Arc<Mutex<Vec<usize>>>) -> Sequential {
+        let mut net = small_cnn(4, 77);
+        net.layers
+            .insert(0, Box::new(LaneProbe(std::sync::Arc::clone(seen))));
+        net
+    }
+
+    #[test]
+    fn each_worker_runs_on_its_share_of_the_lanes() {
+        let data = dataset();
+        let xchg = ExchangeSchedule::new(vec![vec![2, 1], vec![0]], 3);
+        for (pool, workers) in [(1, 2), (2, 2), (4, 2), (2, 3)] {
+            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let mut nets: Vec<Sequential> = (0..workers).map(|_| probed(&seen)).collect();
+            let exec = ooc_exec(nets[0].len());
+            let host = rayon::ThreadPoolBuilder::new()
+                .num_threads(pool)
+                .build()
+                .unwrap();
+            let report = host.install(|| train(&mut nets, &exec, &xchg, &data, 8, 0.05, 2));
+            let seen = seen.lock().unwrap();
+            assert!(!seen.is_empty());
+            assert!(
+                seen.iter().all(|&k| k == (pool / workers).max(1)),
+                "P={pool} W={workers}: workers ran at {seen:?}"
+            );
+
+            let mut reference = probed(&std::sync::Arc::default());
+            let ref_losses = train_reference(&mut reference, &exec, &data, 8, workers, 0.05, 2);
+            assert_eq!(
+                report.final_snapshot,
+                reference.snapshot(),
+                "P={pool} W={workers} diverged from the sequential reference"
+            );
+            assert_eq!(report.losses, ref_losses);
+        }
+    }
+
+    #[test]
+    fn elastic_workers_share_the_pool() {
+        // The elastic driver keeps its workers on the shared pool: each
+        // runs at the host width, and the run stays bitwise equal to
+        // `train`'s per-worker devices.
+        use crate::elastic::{ElasticDriver, ElasticOptions};
+        use crate::store::{TierSpec, TierStack};
+        let data = dataset();
+        let xchg = ExchangeSchedule::new(vec![vec![2, 1], vec![0]], 3);
+        for (pool, workers) in [(1, 2), (2, 2), (4, 2)] {
+            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let mut nets: Vec<Sequential> = (0..workers).map(|_| probed(&seen)).collect();
+            let n_layers = nets[0].len();
+            let driver = ElasticDriver::fixed(ooc_exec(n_layers), xchg.clone());
+            let mut store = TierStack::new(&[TierSpec::unbounded()]);
+            let host = rayon::ThreadPoolBuilder::new()
+                .num_threads(pool)
+                .build()
+                .unwrap();
+            let opts = ElasticOptions::plain(8, 0.05, 2);
+            let report = host
+                .install(|| driver.run(&mut nets, None, &data, &opts, &mut store, None))
+                .expect("plain elastic run");
+            let seen = seen.lock().unwrap();
+            assert!(!seen.is_empty());
+            assert!(
+                seen.iter().all(|&k| k == pool),
+                "P={pool} W={workers}: workers ran at {seen:?}"
+            );
+
+            let mut direct: Vec<Sequential> = (0..workers)
+                .map(|_| probed(&std::sync::Arc::default()))
+                .collect();
+            let want =
+                host.install(|| train(&mut direct, &ooc_exec(n_layers), &xchg, &data, 8, 0.05, 2));
+            assert_eq!(report.final_snapshot, want.final_snapshot);
+            assert_eq!(report.losses, want.losses);
+        }
+    }
+
+    #[test]
+    fn exchange_buffers_reuse_their_allocations() {
+        // Two steps through one registration: the slot's tensors and the
+        // installing worker's tensors keep their allocations, and the
+        // installed average is the fold's exact bits.
+        let data = dataset();
+        let mut net = small_cnn(4, 77);
+        let exec = ooc_exec(net.len());
+        let xchg = ExchangeSchedule::bulk(3);
+        let bufs = ExchangeBuffers::register(&xchg, exec.boundaries(), net.len());
+        let ptrs = |grads: &[ParamGrads]| -> Vec<*const f32> {
+            grads
+                .iter()
+                .flat_map(|pg| pg.grads.iter().map(|t| t.data.as_ptr()))
+                .collect()
+        };
+        let mut dst: Vec<ParamGrads> = Vec::new();
+        let mut slot_ptrs: Vec<*const f32> = Vec::new();
+        let mut dst_ptrs: Vec<*const f32> = Vec::new();
+        for step in 0..2 {
+            let shard = |rank| {
+                let (x, y) = data.shard(step * 16, 8, rank);
+                exec.grad_step(&net, &x, &y, |_, _| {}).1.per_layer
+            };
+            let (a, b) = (shard(0), shard(1));
+            if dst.is_empty() {
+                dst = a.clone();
+                dst_ptrs = ptrs(&dst);
+            }
+            bufs.begin_step(&[2]);
+            let epoch = Instant::now();
+            assert!(bufs.try_contribute(0, 0, &a, epoch));
+            assert!(bufs.try_contribute(0, 1, &b, epoch));
+            bufs.install(0, &mut dst);
+
+            let mut want = a.clone();
+            for (pa, pb) in want.iter_mut().zip(&b) {
+                for (ta, tb) in pa.grads.iter_mut().zip(&pb.grads) {
+                    ta.axpy(1.0, tb);
+                    ta.scale(0.5);
+                }
+            }
+            assert_eq!(dst, want, "step {step}: installed average changed bits");
+            assert_eq!(ptrs(&dst), dst_ptrs, "step {step}: install reallocated");
+            let now = ptrs(&bufs.groups[0].slot.lock().unwrap().grads);
+            if step == 0 {
+                slot_ptrs = now;
+            } else {
+                assert_eq!(now, slot_ptrs, "the first fold reallocated the slot");
+            }
+            net.apply(
+                &Gradients {
+                    per_layer: dst.clone(),
+                },
+                0.05,
+            );
+        }
+    }
+
     fn churn_cfg(steps: usize) -> ChurnConfig {
         ChurnConfig {
             offset: 0,
@@ -1281,7 +1514,11 @@ mod tests {
         faults: &FaultPlan,
     ) -> (ChurnReport, Vec<usize>) {
         let bufs = ExchangeBuffers::register(xchg, exec.boundaries(), nets[0].len());
-        train_churn(nets, exec, xchg, &bufs, data, cfg, faults)
+        let workers = Workers {
+            faults,
+            lanes: Lanes::PerWorker,
+        };
+        train_churn(nets, exec, xchg, &bufs, data, cfg, workers)
     }
 
     #[test]

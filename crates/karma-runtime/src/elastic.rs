@@ -38,7 +38,8 @@ use std::fmt;
 
 use crate::bridge::{lower_dist_plan, lower_plan_tiered, BridgeError};
 use crate::dp::{
-    train_churn, ChurnConfig, ExchangeBuffers, ExchangeSchedule, FaultPlan, WorkerFailure,
+    train_churn, ChurnConfig, ExchangeBuffers, ExchangeSchedule, FaultPlan, Lanes, WorkerFailure,
+    Workers,
 };
 use crate::exec::OocExecutor;
 use crate::store::{TierSpec, TierStack};
@@ -606,7 +607,16 @@ impl ElasticDriver {
                 steps: phase_steps,
             };
             let faults = FaultPlan::new(fails.clone());
-            let (phase, dead) = train_churn(nets, exec, xchg, bufs, data, &cfg, &faults);
+            // The shared pool, not one device per worker: on a 2-vCPU
+            // host a conv-stack worker held to one lane runs its forward
+            // at half speed for stretches of steps, and only the shared
+            // pool lets the other lane take strips off it (ROADMAP,
+            // `churn-tiered`).
+            let workers = Workers {
+                faults: &faults,
+                lanes: Lanes::Shared,
+            };
+            let (phase, dead) = train_churn(nets, exec, xchg, bufs, data, &cfg, workers);
             for &i in dead.iter().rev() {
                 nets.remove(i);
             }

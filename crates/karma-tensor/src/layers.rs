@@ -16,10 +16,24 @@ use serde::{Deserialize, Serialize};
 use crate::tensor::Tensor;
 
 /// Gradient of one layer's parameters (empty for stateless layers).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct ParamGrads {
     /// One tensor per parameter, in the layer's parameter order.
     pub grads: Vec<Tensor>,
+}
+
+/// `clone_from` reuses `self`'s tensors' allocations, like
+/// [`Tensor`]'s.
+impl Clone for ParamGrads {
+    fn clone(&self) -> Self {
+        ParamGrads {
+            grads: self.grads.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.grads.clone_from(&source.grads);
+    }
 }
 
 /// A neural-network layer with pure forward/backward.

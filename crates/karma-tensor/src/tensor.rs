@@ -4,12 +4,29 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major f32 tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     /// Dimensions, outermost first (e.g. `[batch, ch, h, w]`).
     pub shape: Vec<usize>,
     /// Row-major data; `len == shape.product()`.
     pub data: Vec<f32>,
+}
+
+/// `clone_from` copies into `self`'s existing allocations (a derived
+/// `Clone` would allocate afresh), so refreshing a same-shaped tensor —
+/// or a `Vec` of them via `clone_from_slice` — allocates nothing.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.shape.clone_from(&source.shape);
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Tensor {

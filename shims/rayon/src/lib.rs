@@ -39,8 +39,22 @@
 //!
 //! The trait surface of the real crate that the workspace consumes is kept
 //! intact (`par_chunks[_mut]`, `par_iter[_mut]`, `into_par_iter` on `Vec`
-//! and ranges, `map`/`enumerate`/`for_each`/`collect`/`sum`, `join`), so
-//! no call site changes when swapping in the real `rayon`.
+//! and ranges, `map`/`enumerate`/`for_each`/`collect`/`sum`, `join`,
+//! `ThreadPoolBuilder::new().num_threads(k).build()` and
+//! `ThreadPool::install`), so no call site changes when swapping in the
+//! real `rayon`.
+//!
+//! **`install` differs from the real crate's.** Real rayon runs the
+//! closure on one of the private pool's own `k` threads. The shim has one
+//! global pool, so [`ThreadPool::install`] runs the closure on the
+//! *calling* thread with a thread-local cap of `k` on region width:
+//! [`current_num_threads`] reports `k` inside, every region is sized to
+//! `k` lanes, and at `k = 1` regions run inline without touching the pool.
+//! The cap is restored on return and on unwind, and nested installs take
+//! the inner width. Data-parallel workers use it to give each replica its
+//! own share of the cores, one compute device per worker. Under the real
+//! crate each `build` spawns the pool's threads, so callers build one
+//! pool per width and reuse it.
 //!
 //! One deliberate extension beyond the real crate: [`io`], a pool of
 //! strict-FIFO I/O lanes (dedicated daemon threads) used by
@@ -55,8 +69,10 @@ use std::sync::{Mutex, OnceLock};
 
 pub mod io;
 mod pool;
+mod thread_pool;
 
 pub use pool::{pool_workers_spawned, MAX_POOL_WORKERS, STRIP_FACTOR};
+pub use thread_pool::{ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
 
 // --------------------------------------------------------------- pool size
 
@@ -96,25 +112,31 @@ pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// The worker count parallel regions are currently sized to.
+/// The worker count parallel regions on this thread are currently sized
+/// to: the width of the innermost [`ThreadPool::install`] this thread is
+/// inside, else the process-global width.
 ///
 /// ```
 /// // Always at least one lane (the calling thread itself).
 /// assert!(rayon::current_num_threads() >= 1);
 /// ```
 pub fn current_num_threads() -> usize {
-    match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => auto_threads(),
-        n => n,
+    match thread_pool::width_cap() {
+        0 => match THREAD_OVERRIDE.load(Ordering::SeqCst) {
+            0 => auto_threads(),
+            n => n,
+        },
+        cap => cap,
     }
 }
 
 // --------------------------------------------------------------- executor
 
-/// Lane count for a new parallel region: the configured width, whether the
-/// caller is a top-level thread or a pool worker — nested regions
-/// width-share the persistent pool rather than running inline (the pool is
-/// fixed-size, so nesting cannot multiply threads).
+/// Lane count for a new parallel region: the configured width (capped by
+/// an enclosing [`ThreadPool::install`]), whether the caller is a
+/// top-level thread or a pool worker — nested regions width-share the
+/// persistent pool rather than running inline (the pool is fixed-size, so
+/// nesting cannot multiply threads).
 fn region_threads() -> usize {
     current_num_threads()
 }
@@ -124,7 +146,8 @@ fn region_threads() -> usize {
 ///
 /// Items are oversplit into contiguous strips ([`STRIP_FACTOR`] per lane)
 /// and merged back in strip order, so the result is identical to the
-/// sequential map at any width and any steal schedule.
+/// sequential map at any width and any steal schedule. Each strip runs
+/// under the caller's width cap, whichever thread picks it up.
 fn par_map_vec<T, R, F>(items: Vec<T>, threads: usize, f: &F) -> Vec<R>
 where
     T: Send,
@@ -150,6 +173,7 @@ where
     chunks.push(rest);
 
     let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
+    let cap = thread_pool::width_cap();
     {
         let tasks: Vec<pool::Task<'_>> = chunks
             .into_iter()
@@ -157,7 +181,7 @@ where
             .map(|(i, c)| {
                 let parts = &parts;
                 Box::new(move || {
-                    let out: Vec<R> = c.into_iter().map(f).collect();
+                    let out: Vec<R> = thread_pool::with_cap(cap, || c.into_iter().map(f).collect());
                     parts.lock().unwrap().push((i, out));
                 }) as pool::Task<'_>
             })
@@ -176,7 +200,8 @@ where
 /// Run two closures, potentially in parallel, and return both results —
 /// the shim's version of `rayon::join`. `fa` is submitted to the pool
 /// while `fb` runs on the calling thread, which then helps drain the pool
-/// until `fa` completes (sequential `fa`-then-`fb` when the width is 1).
+/// until `fa` completes (sequential `fa`-then-`fb` when the width is 1);
+/// `fa` runs under the caller's width cap wherever it lands.
 ///
 /// ```
 /// let (a, b) = rayon::join(|| (0..100u64).sum::<u64>(), || "right");
@@ -195,10 +220,11 @@ where
         return (a, b);
     }
     let a_slot: Mutex<Option<A>> = Mutex::new(None);
+    let cap = thread_pool::width_cap();
     let b = {
         let a_slot = &a_slot;
         let task: pool::Task<'_> = Box::new(move || {
-            *a_slot.lock().unwrap() = Some(fa());
+            *a_slot.lock().unwrap() = Some(thread_pool::with_cap(cap, fa));
         });
         let handle = pool::submit_region(vec![task], 2);
         let b = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fb));
@@ -726,6 +752,86 @@ mod tests {
             })
         });
         assert!(r.is_err());
+    }
+
+    fn device(k: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(k).build().unwrap()
+    }
+
+    #[test]
+    fn install_one_runs_every_item_on_the_calling_thread() {
+        let me = std::thread::current().id();
+        let ids = Mutex::new(HashSet::new());
+        let record = || {
+            ids.lock().unwrap().insert(std::thread::current().id());
+        };
+        device(1).install(|| {
+            let items: Vec<u64> = (0..256).collect();
+            items.par_iter().for_each(|_| record());
+            let mut buf = vec![0u8; 256];
+            buf.par_chunks_mut(7).for_each(|_| record());
+            crate::join(record, record);
+        });
+        assert_eq!(*ids.lock().unwrap(), HashSet::from([me]));
+    }
+
+    #[test]
+    fn install_reports_and_nests_its_cap() {
+        let outside = current_num_threads();
+        let (two, one, back) = device(2).install(|| {
+            let one = device(1).install(current_num_threads);
+            (current_num_threads(), one, current_num_threads())
+        });
+        assert_eq!(
+            (two, one, back),
+            (2, 1, 2),
+            "nested installs take the inner cap"
+        );
+        assert_eq!(current_num_threads(), outside, "cap restored on return");
+        // Strips handed to pool workers carry the cap into nested regions.
+        let nested: Vec<usize> = device(3)
+            .install(|| par_map_vec((0..16usize).collect(), 3, &|_| super::region_threads()));
+        assert!(nested.iter().all(|&w| w == 3), "got {nested:?}");
+    }
+
+    #[test]
+    fn install_restores_the_cap_after_a_panic() {
+        let outside = current_num_threads();
+        let r = std::panic::catch_unwind(|| {
+            device(1).install(|| {
+                assert_eq!(current_num_threads(), 1);
+                panic!("inside install");
+            })
+        });
+        assert!(r.is_err());
+        assert_eq!(current_num_threads(), outside);
+        assert_eq!(device(2).install(current_num_threads), 2);
+    }
+
+    #[test]
+    fn capped_results_are_bit_equal_to_uncapped() {
+        let input: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.37).sin()).collect();
+        let run = || {
+            let mapped: Vec<f32> = input.par_iter().map(|&x| x * 1.5 - 0.25).collect();
+            let sums: Vec<f32> = input.par_chunks(97).map(|c| c.iter().sum()).collect();
+            let mut scaled = input.clone();
+            scaled
+                .par_chunks_mut(61)
+                .for_each(|c| c.iter_mut().for_each(|x| *x *= 3.0));
+            let (a, b) = crate::join(|| mapped.iter().sum::<f32>(), || sums.iter().sum::<f32>());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            (
+                bits(&mapped),
+                bits(&sums),
+                bits(&scaled),
+                a.to_bits(),
+                b.to_bits(),
+            )
+        };
+        let uncapped = run();
+        for k in [1, 2, 4] {
+            assert_eq!(device(k).install(run), uncapped, "width {k} changed bits");
+        }
     }
 
     #[test]
